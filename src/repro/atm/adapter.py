@@ -137,6 +137,9 @@ class ForeTca100:
         depart: List[int] = [0] * (n + 1)       # E[k]
         prev_depart = wire_gate
         max_occupancy = 0
+        # Cells 1..departed have left the wire by the current write.
+        # Both schedules only move forward, so neither does this count.
+        departed = 0
         for k in range(1, n + 1):
             earliest = (write_done[k - 1] if k > 1 else t0) \
                 + per_cell_write_ns
@@ -146,8 +149,9 @@ class ForeTca100:
             start_tx = max(write_done[k], prev_depart)
             depart[k] = start_tx + link.cell_time_ns
             prev_depart = depart[k]
-            in_fifo = k - sum(1 for j in range(1, k)
-                              if depart[j] <= write_done[k])
+            while departed < k - 1 and depart[departed + 1] <= earliest:
+                departed += 1
+            in_fifo = k - departed
             if in_fifo > max_occupancy:
                 max_occupancy = in_fifo
 
@@ -222,8 +226,10 @@ class ForeTca100:
                 data_bearing: bool) -> None:
         """Called at last-cell arrival: cells are in the RX FIFO."""
         self._rx_fifo_cells += n_cells
-        self.stats.max_rx_fifo_cells = max(self.stats.max_rx_fifo_cells,
-                                           self._rx_fifo_cells)
+        # An overflowing train fills the FIFO to its limit, no further.
+        self.stats.max_rx_fifo_cells = max(
+            self.stats.max_rx_fifo_cells,
+            min(self._rx_fifo_cells, self.rx_fifo_limit))
         if self._rx_fifo_cells > self.rx_fifo_limit:
             # FIFO overflow: the tail of this packet was lost.  TCP's
             # retransmission timer recovers.

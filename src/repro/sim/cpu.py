@@ -16,13 +16,22 @@ sharing, so the CPU is modelled explicitly:
   overlap" structure the paper describes).
 * Equal priorities are FIFO and non-preemptive with respect to each
   other, matching the BSD kernel's non-preemptive top half.
+
+Each charge costs one heap event: the job is its own completion
+:class:`~repro.sim.engine.Event`, and when the job finishes the CPU
+first starts the next ready job and then resumes the job's waiters
+straight from the completion's dispatch slot (the direct path
+:meth:`Simulator.timeout` also takes), with no delay-0 hop through
+:meth:`Event.succeed`.  Starting the next job first keeps the order
+the hop gave: a more urgent job the resumed process submits at once
+still preempts that job at the same instant.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.sim.engine import Event, ScheduledCall, Simulator
 
@@ -40,29 +49,26 @@ class Priority:
     NAMES = {0: "hard_intr", 1: "soft_intr", 2: "kernel", 3: "user"}
 
 
-class Job:
+class Job(Event):
     """One piece of CPU work: a duration at a priority level.
 
-    The job's :attr:`done` event triggers when the CPU has dedicated
-    ``duration_ns`` of (possibly non-contiguous) time to it.
+    A job is its own completion event, named by its label: it succeeds
+    (with value ``None``) once the CPU has dedicated ``duration_ns`` of
+    (possibly non-contiguous) time to it, so a process simply yields
+    the job that :meth:`CPU.run` returns.
     """
 
-    __slots__ = ("priority", "seq", "remaining", "done", "name",
-                 "enqueued_at", "started")
+    __slots__ = ("priority", "seq", "remaining", "enqueued_at", "started")
 
-    def __init__(self, priority: int, seq: int, duration_ns: int,
-                 done: Event, name: str, enqueued_at: int):
+    def __init__(self, sim: Simulator, priority: int, seq: int,
+                 duration_ns: int, name: str, enqueued_at: int):
+        Event.__init__(self, sim, name)
         self.priority = priority
         self.seq = seq
         self.remaining = duration_ns
-        self.done = done
-        self.name = name
         self.enqueued_at = enqueued_at
         #: Whether the job has ever held the CPU (start vs resume hooks).
         self.started = False
-
-    def __lt__(self, other: "Job") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
 
     def __repr__(self) -> str:
         return (f"<Job {self.name!r} prio={self.priority} "
@@ -75,7 +81,9 @@ class CPU:
     def __init__(self, sim: Simulator, name: str = "cpu"):
         self.sim = sim
         self.name = name
-        self._ready: List[Job] = []
+        #: Ready jobs as ``(priority, seq, job)``: equal priorities are
+        #: FIFO by submission order, and sift compares stay on ints.
+        self._ready: List[Tuple[int, int, Job]] = []
         self._running: Optional[Job] = None
         self._completion: Optional[ScheduledCall] = None
         self._run_started_at = 0
@@ -91,8 +99,9 @@ class CPU:
     # Submission
     # ------------------------------------------------------------------
     def run(self, duration_ns: int, priority: int = Priority.KERNEL,
-            name: str = "work") -> Event:
-        """Submit *duration_ns* of work; returns the completion event.
+            name: str = "work") -> Job:
+        """Submit *duration_ns* of work; returns the :class:`Job`, which
+        is the completion event.
 
         Typical use from a simulated process::
 
@@ -100,12 +109,12 @@ class CPU:
         """
         if duration_ns < 0:
             raise ValueError(f"negative CPU work: {duration_ns}")
-        done = self.sim.event(name=f"{self.name}:{name}")
-        job = Job(priority, next(self._seq), int(duration_ns), done, name,
-                  self.sim.now)
-        heapq.heappush(self._ready, job)
+        seq = next(self._seq)
+        sim = self.sim
+        job = Job(sim, priority, seq, int(duration_ns), name, sim.now)
+        heapq.heappush(self._ready, (priority, seq, job))
         self._dispatch()
-        return done
+        return job
 
     # ------------------------------------------------------------------
     # Introspection
@@ -124,19 +133,20 @@ class CPU:
         """Number of ready (not running) jobs, optionally per priority."""
         if priority is None:
             return len(self._ready)
-        return sum(1 for job in self._ready if job.priority == priority)
+        return sum(1 for entry in self._ready if entry[0] == priority)
 
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
+        ready = self._ready
         if self._running is not None:
-            if not self._ready or self._ready[0].priority >= self._running.priority:
+            if not ready or ready[0][0] >= self._running.priority:
                 return
             self._preempt()
-        if not self._ready:
+        if not ready:
             return
-        job = heapq.heappop(self._ready)
+        job = heapq.heappop(ready)[2]
         self._running = job
         self._run_started_at = self.sim.now
         hooks = self.sim.hooks
@@ -166,7 +176,7 @@ class CPU:
         self._completion = None
         self._running = None
         self.preemptions += 1
-        heapq.heappush(self._ready, job)
+        heapq.heappush(self._ready, (job.priority, job.seq, job))
         if self.sim.hooks is not None:
             self.sim.hooks.on_job_preempt(self.sim.now, self, job)
 
@@ -178,5 +188,6 @@ class CPU:
         self.jobs_completed += 1
         if self.sim.hooks is not None:
             self.sim.hooks.on_job_finish(self.sim.now, self, job)
-        job.done.succeed()
+        # Next job first, then the waiters: see the module docstring.
         self._dispatch()
+        job._fire()

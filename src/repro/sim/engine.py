@@ -221,6 +221,22 @@ class Event:
         self._schedule_callbacks()
         return self
 
+    def _fire(self, value: Any = None) -> None:
+        """Trigger successfully and run the waiters now, from the
+        caller's own dispatch slot: the direct path that
+        :meth:`Simulator.timeout` and CPU job completion take instead of
+        :meth:`succeed`'s delay-0 hop.  Waiters run at the same
+        simulated time and in registration order; callbacks added after
+        the trigger still go through :meth:`add_callback`'s scheduled
+        path."""
+        if self._value is not Event._PENDING or self._exc is not None:
+            raise EventError(f"event {self.name!r} already triggered")
+        self._value = value
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks:
+            for fn in callbacks:
+                fn(self)
+
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(event)`` once the event triggers."""
         if self._callbacks is None:
@@ -314,10 +330,11 @@ class Process(Event):
         )
 
     def _on_event(self, event: Event) -> None:
-        if event.ok:
+        exc = event._exc
+        if exc is None:
             self._resume(event._value, None)
         else:
-            self._resume(None, event._exc)
+            self._resume(None, exc)
 
 
 class Simulator:
@@ -465,26 +482,14 @@ class Simulator:
         """An event that succeeds with *value* after *delay_ns*.
 
         Fast path: waiters registered before the deadline are invoked
-        directly from the timeout's own dispatch slot — same simulated
-        time, same registration order — instead of hopping through a
-        second delay-0 event (``succeed`` → ``_dispatch``).  A process
-        yielding a timeout therefore resumes one queue operation
-        earlier; callbacks added *after* the trigger still go through
-        :meth:`Event.add_callback`'s scheduled path.
+        directly from the timeout's own dispatch slot
+        (:meth:`Event._fire`) instead of hopping through a second
+        delay-0 event, so a process yielding a timeout resumes one
+        queue operation earlier.
         """
         ev = Event(self, name="timeout")
-        self.schedule(delay_ns, self._trigger_timeout, ev, value)
+        self.schedule(delay_ns, ev._fire, value)
         return ev
-
-    @staticmethod
-    def _trigger_timeout(ev: Event, value: Any) -> None:
-        if ev._value is not Event._PENDING or ev._exc is not None:
-            raise EventError(f"event {ev.name!r} already triggered")
-        ev._value = value
-        callbacks, ev._callbacks = ev._callbacks, None
-        if callbacks:
-            for fn in callbacks:
-                fn(ev)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a simulated process."""

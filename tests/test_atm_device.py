@@ -1,5 +1,8 @@
 """Tests for the ATM subsystem: AAL3/4, adapter timing, FIFO behaviour."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,10 +17,11 @@ from repro.atm.aal import (
 from repro.atm.adapter import AtmLink, ForeTca100
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
+from repro.hw.costs import decstation_5000_200
 from repro.kern.host import Host
 from repro.net.headers import IPHeader, TCPHeader
-from repro.net.packet import build_tcp_packet
-from repro.sim import Priority, Simulator
+from repro.net.packet import Packet, build_tcp_packet
+from repro.sim import Priority, Simulator, us
 
 
 class TestCellMath:
@@ -86,9 +90,9 @@ class TestAal34Codec:
             Aal34Codec.reassemble([])
 
 
-def make_atm_pair():
+def make_atm_pair(costs=None):
     sim = Simulator()
-    a = Host(sim, "a", "10.0.0.1")
+    a = Host(sim, "a", "10.0.0.1", costs=costs)
     b = Host(sim, "b", "10.0.0.2")
     link = AtmLink(sim)
     link.attach(ForeTca100(a))
@@ -191,6 +195,22 @@ class TestAdapterTiming:
         sim.run()
         assert b.interface.stats.rx_fifo_overflows >= 1
 
+    def test_rx_overflow_records_at_most_the_fifo_limit(self):
+        sim, a, b, link = make_atm_pair()
+        # Clamp the RX FIFO the way the chaos layer's "rx" clamp does.
+        b.interface.rx_fifo_limit = 50
+
+        def send():
+            yield from a.interface.output(make_packet(4000),
+                                          Priority.KERNEL, True)
+
+        sim.process(send())
+        sim.run()
+        stats = b.interface.stats
+        assert stats.rx_fifo_overflows == 1
+        assert stats.max_rx_fifo_cells <= b.interface.rx_fifo_limit
+        assert stats.max_rx_fifo_cells == 50  # the FIFO filled
+
     def test_stats_count_cells(self):
         sim, a, b, link = make_atm_pair()
 
@@ -203,6 +223,85 @@ class TestAdapterTiming:
         assert a.interface.stats.packets_sent == 1
         assert a.interface.stats.cells_sent == cells_needed(240)
         assert b.interface.stats.packets_received == 1
+
+
+def reference_tx_schedule(n, t0, wire_gate, per_cell_write_ns,
+                           cell_time_ns):
+    """The driver's TX FIFO schedule with the original per-cell rescan
+    of every earlier cell (O(cells²)).  Returns ``(driver busy ns, last
+    cell's departure, most cells in the FIFO)``."""
+    fifo = ForeTca100.TX_FIFO_CELLS
+    write_done = [0] * (n + 1)
+    depart = [0] * (n + 1)
+    prev_depart = wire_gate
+    max_occupancy = 0
+    for k in range(1, n + 1):
+        earliest = (write_done[k - 1] if k > 1 else t0) + per_cell_write_ns
+        if k > fifo:
+            earliest = max(earliest, depart[k - fifo])
+        write_done[k] = earliest
+        depart[k] = max(earliest, prev_depart) + cell_time_ns
+        prev_depart = depart[k]
+        in_fifo = k - sum(1 for j in range(1, k)
+                          if depart[j] <= write_done[k])
+        max_occupancy = max(max_occupancy, in_fifo)
+    return write_done[n] - t0, depart[n], max_occupancy
+
+
+class TestTxFifoSchedule:
+    """ForeTca100.output against the quadratic reference schedule, for
+    random cell counts, copy rates and wire gates."""
+
+    CASES = 150
+
+    @pytest.mark.parametrize("busy_wire", [False, True],
+                             ids=["idle-wire", "busy-wire"])
+    def test_matches_quadratic_reference(self, busy_wire):
+        rng = random.Random(1994 + busy_wire)
+        stalled = filled = 0
+        for case in range(self.CASES):
+            n = rng.randint(1, 260)
+            costs = dataclasses.replace(
+                decstation_5000_200(),
+                atm_tx_fixed_us=rng.uniform(0.0, 30.0),
+                atm_tx_per_cell_us=rng.uniform(0.05, 5.0),
+                atm_tx_per_mbuf_us=rng.uniform(0.0, 5.0))
+            mbufs = rng.randint(1, 8)
+            sim, a, b, link = make_atm_pair(costs)
+            gate = rng.randint(1, 2 * n * link.cell_time_ns) \
+                if busy_wire else 0
+            a.interface._wire_free_at = gate
+            arrivals = []
+            b.interface.deliver = lambda *_args: arrivals.append(sim.now)
+            copied = []
+
+            def send():
+                yield from a.interface.output(
+                    Packet(bytes(n * CELL_PAYLOAD - CPCS_OVERHEAD),
+                           mbuf_count=mbufs),
+                    Priority.KERNEL, True)
+                copied.append(sim.now)
+
+            sim.process(send())
+            sim.run()
+
+            base_ns = (us(costs.atm_tx_fixed_us)
+                       + us(costs.atm_tx_per_cell_us) * n
+                       + us(costs.atm_tx_per_mbuf_us) * mbufs)
+            busy_ns, last_depart, occupancy = reference_tx_schedule(
+                n, 0, gate, max(1, base_ns // n), link.cell_time_ns)
+            stats = a.interface.stats
+            where = f"case {case}: {n} cells, gate {gate}"
+            assert stats.cells_sent == n, where
+            assert stats.max_tx_fifo_cells == occupancy, where
+            assert stats.tx_stall_ns == max(0, busy_ns - base_ns), where
+            assert copied == [busy_ns], where
+            assert arrivals == [max(last_depart, busy_ns + link.cell_time_ns)
+                                + link.prop_delay_ns], where
+            stalled += stats.tx_stall_ns > 0
+            filled += occupancy == ForeTca100.TX_FIFO_CELLS
+        # The cases reach both a full FIFO and a stalled copy loop.
+        assert stalled and filled
 
 
 class TestEndToEndAtm:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CPU, Priority, Simulator
+from repro.sim import CPU, Event, EventError, Job, Priority, Simulator
 
 
 def make_cpu():
@@ -168,3 +168,64 @@ def test_sequential_yields_model_a_kernel_path():
     p = sim.process(syscall())
     sim.run_until_triggered(p)
     assert sim.now == 35_000
+
+
+def test_each_charge_costs_one_event():
+    """A finished job resumes its waiter from its own dispatch slot, so
+    N back-to-back charges take the process start plus N completions."""
+    sim, cpu = make_cpu()
+    charges = 5
+
+    def syscall():
+        for _ in range(charges):
+            yield cpu.run(100, Priority.KERNEL, "step")
+
+    sim.process(syscall())
+    sim.run()
+    assert sim.now == charges * 100
+    assert sim.events_executed == charges + 1
+
+
+def test_resumed_waiter_preempts_the_next_ready_job():
+    """The CPU starts the next ready job before resuming the finished
+    job's waiter, so a more urgent job the waiter submits at once
+    preempts that job at the same instant."""
+    sim, cpu = make_cpu()
+    finish = {}
+
+    def waiter():
+        yield cpu.run(100, Priority.KERNEL, "a")
+        finish["a"] = sim.now
+        yield cpu.run(50, Priority.HARD_INTR, "c")
+        finish["c"] = sim.now
+
+    def queued():
+        yield cpu.run(200, Priority.USER, "b")
+        finish["b"] = sim.now
+
+    sim.process(waiter())
+    sim.process(queued())
+    sim.run()
+    assert finish == {"a": 100, "c": 150, "b": 350}
+    assert cpu.preemptions == 1
+    assert cpu.busy_by_label == {"a": 100, "b": 200, "c": 50}
+
+
+def test_run_returns_a_job_that_is_its_completion_event():
+    sim, cpu = make_cpu()
+    job = cpu.run(100, Priority.KERNEL, "copyin")
+    assert isinstance(job, Job)
+    assert isinstance(job, Event)
+    assert job.name == "copyin"
+    assert sim.run_until_triggered(job) is None
+    assert job.ok
+    with pytest.raises(EventError):
+        job.succeed()
+
+
+def test_completing_an_already_triggered_job_raises():
+    sim, cpu = make_cpu()
+    job = cpu.run(100, Priority.KERNEL, "copyin")
+    job.succeed()
+    with pytest.raises(EventError):
+        sim.run()
