@@ -7,6 +7,7 @@ dispatch module treats that as "pure Python only".
 """
 
 from repro._native._corec import (  # noqa: F401
+    POOL_MAX,
     EngineCore,
     ScheduledCall,
     aal_install,

@@ -32,7 +32,8 @@
         Py_XDECREF(_tmp);                       \
     } while (0)
 
-/* Engine tuning constants; must match repro.sim.engine. */
+/* Compaction constants; must match repro.sim.engine.  POOL_MAX caps
+ * the core's own handle free list (the pure engine has none). */
 #define POOL_MAX 1024
 #define COMPACT_MASK 0xFFF
 #define COMPACT_MIN 64
@@ -76,11 +77,7 @@ ensure_engine_installed(void)
 
 typedef struct {
     PyObject_HEAD
-    long long time;       /* authoritative dispatch time, ns */
-    long long heap_time;  /* time frozen at heap push (the pure loop's
-                           * tuple slot 0); reschedule() may move `time`
-                           * past it, and the dispatch loops re-key the
-                           * entry when the two diverge */
+    long long time;       /* dispatch time, ns (the tuple's slot 0) */
     long long seq;        /* insertion sequence number */
     long long key_ll;     /* tie-break key when it fits in 64 bits */
     int key_fits;         /* key_ll is valid */
@@ -230,11 +227,8 @@ entry_lt(PyObject *v, PyObject *w)
         PyObject *cw = PyTuple_GET_ITEM(w, 2);
         if (Py_TYPE(cv) == &CallType && Py_TYPE(cw) == &CallType) {
             CallObject *a = (CallObject *)cv, *b = (CallObject *)cw;
-            /* Compare the time frozen at push (the pure heap compares
-             * the tuple's slot 0): a reschedule()-deferred call keeps
-             * its heap position until the loops re-key it. */
-            if (a->heap_time != b->heap_time)
-                return a->heap_time < b->heap_time;
+            if (a->time != b->time)
+                return a->time < b->time;
             if (a->key_fits && b->key_fits)
                 return a->key_ll < b->key_ll;
             return PyObject_RichCompareBool(a->key, b->key, Py_LT);
@@ -436,9 +430,8 @@ Core_clear_gc(CoreObject *self)
 }
 
 /* Recycle a dispatched/cancelled handle when the dispatch loop holds
- * the *sole* remaining reference, mirroring the pure loop's
- * `sys.getrefcount(call) == 2` guard (there: local + getrefcount arg;
- * here: our borrowed-into-owned single reference). */
+ * the *sole* remaining reference, so a caller that kept the handle (a
+ * TCP timer, a CPU completion) never sees it reused. */
 static int
 core_maybe_pool(CoreObject *self, CallObject *call)
 {
@@ -650,7 +643,6 @@ Core_schedule(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
 
     call->time = time_ll;
-    call->heap_time = time_ll;
     call->seq = seq;
     call->key_ll = key_ll;
     call->key_fits = key_fits;
@@ -711,152 +703,6 @@ Core_schedule(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     return (PyObject *)call;
 }
 
-/* Re-key a handle whose authoritative time was moved past its heap
- * position by reschedule(): push a fresh (time, key, call) entry at
- * call->time, exactly as the pure loops' `heappush(queue, (call.time,
- * call.key, call))`.  Returns 0 on success, -1 on error. */
-static int
-core_repush_deferred(CoreObject *self, CallObject *call)
-{
-    PyObject *time_obj, *entry;
-
-    call->heap_time = call->time;
-    time_obj = PyLong_FromLongLong(call->time);
-    if (time_obj == NULL)
-        return -1;
-    entry = PyTuple_New(3);
-    if (entry == NULL) {
-        Py_DECREF(time_obj);
-        return -1;
-    }
-    PyTuple_SET_ITEM(entry, 0, time_obj);
-    Py_INCREF(call->key);
-    PyTuple_SET_ITEM(entry, 1, call->key);
-    Py_INCREF(call);
-    PyTuple_SET_ITEM(entry, 2, (PyObject *)call);
-    if (heap_push(self->queue, entry) < 0) {
-        Py_DECREF(entry);
-        return -1;
-    }
-    Py_DECREF(entry);
-    return 0;
-}
-
-static PyObject *
-Core_reschedule(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    long long delay_ll, new_time;
-    int overflow;
-    CallObject *call;
-    PyObject *delay, *fn, *cargs, *result;
-    PyObject **argv;
-    Py_ssize_t i, extra;
-
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "reschedule() requires a call and a delay");
-        return NULL;
-    }
-    if (Py_TYPE(args[0]) != &CallType) {
-        PyErr_SetString(PyExc_TypeError,
-                        "reschedule() requires a ScheduledCall");
-        return NULL;
-    }
-    call = (CallObject *)args[0];
-    delay = args[1];
-    if (PyLong_CheckExact(delay)) {
-        delay_ll = PyLong_AsLongLongAndOverflow(delay, &overflow);
-        if (overflow) {
-            PyErr_SetString(PyExc_OverflowError,
-                            "delay out of native range");
-            return NULL;
-        }
-        if (delay_ll == -1 && PyErr_Occurred())
-            return NULL;
-        if (delay_ll < 0)
-            return sched_err_negative(delay);
-    }
-    else {
-        int neg = PyObject_RichCompareBool(delay, g_zero, Py_LT);
-        if (neg < 0)
-            return NULL;
-        if (neg)
-            return sched_err_negative(delay);
-        PyObject *num = PyNumber_Long(delay);
-        if (num == NULL)
-            return NULL;
-        delay_ll = PyLong_AsLongLongAndOverflow(num, &overflow);
-        Py_DECREF(num);
-        if (overflow) {
-            PyErr_SetString(PyExc_OverflowError,
-                            "delay out of native range");
-            return NULL;
-        }
-        if (delay_ll == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    if (call->cancelled) {
-        PyObject *msg = PyUnicode_FromString(
-            "reschedule() on a cancelled call");
-        if (msg != NULL) {
-            PyErr_SetObject(g_scheduling_error, msg);
-            Py_DECREF(msg);
-        }
-        return NULL;
-    }
-
-    new_time = self->now + delay_ll;
-    if (new_time >= call->time) {
-        /* Defer in place: the stale heap entry (still keyed at
-         * heap_time) is re-keyed lazily when a dispatch loop pops it. */
-        call->time = new_time;
-        if (self->hooks != Py_None) {
-            PyObject *now_obj = PyLong_FromLongLong(self->now);
-            PyObject *r;
-            if (now_obj == NULL)
-                return NULL;
-            r = PyObject_CallMethodObjArgs(self->hooks, s_on_schedule,
-                                           now_obj, (PyObject *)call,
-                                           NULL);
-            Py_DECREF(now_obj);
-            if (r == NULL)
-                return NULL;
-            Py_DECREF(r);
-        }
-        Py_INCREF(call);
-        return (PyObject *)call;
-    }
-
-    /* Earlier target: fall back to cancel + fresh schedule (the heap
-     * cannot move an entry forward lazily). */
-    fn = call->fn;
-    cargs = call->args;
-    Py_INCREF(fn);
-    Py_INCREF(cargs);
-    call->cancelled = 1;
-    Py_INCREF(g_noop);
-    REPRO_SETREF(call->fn, g_noop);
-    Py_INCREF(g_empty_tuple);
-    REPRO_SETREF(call->args, g_empty_tuple);
-
-    extra = PyTuple_GET_SIZE(cargs);
-    argv = PyMem_Malloc((size_t)(extra + 2) * sizeof(PyObject *));
-    if (argv == NULL) {
-        Py_DECREF(fn);
-        Py_DECREF(cargs);
-        return PyErr_NoMemory();
-    }
-    argv[0] = delay;
-    argv[1] = fn;
-    for (i = 0; i < extra; i++)
-        argv[i + 2] = PyTuple_GET_ITEM(cargs, i);
-    result = Core_schedule(self, argv, extra + 2);
-    PyMem_Free(argv);
-    Py_DECREF(fn);
-    Py_DECREF(cargs);
-    return result;
-}
-
 /* Dispatch the head event through call->fn(*call->args); -1 error. */
 static int
 core_dispatch(CoreObject *self, CallObject *call, long long time)
@@ -914,19 +760,9 @@ core_step_internal(CoreObject *self)
         call = (CallObject *)PyTuple_GET_ITEM(entry, 2);
         Py_INCREF(call);
         time = call->time;
-        /* Mirror the pure loop's unpack-and-discard of the tuple. */
         Py_DECREF(entry);
         if (call->cancelled) {
             if (core_maybe_pool(self, call) < 0) {
-                Py_DECREF(call);
-                return -1;
-            }
-            Py_DECREF(call);
-            continue;
-        }
-        if (call->time != call->heap_time) {
-            /* Deferred by reschedule(): re-key to the new time. */
-            if (core_repush_deferred(self, call) < 0) {
                 Py_DECREF(call);
                 return -1;
             }
@@ -1035,33 +871,8 @@ Core_run_until(CoreObject *self, PyObject *until)
                 return NULL;
             }
             Py_DECREF(popped);
-            /* The pure loop's `entry` local keeps the tuple alive
-             * through its refcount check, so run(until) never pools a
-             * cancelled head; our live `entry` reference reproduces
-             * that (the pool condition can never fire here). */
-            if (core_maybe_pool(self, call) < 0) {
-                Py_DECREF(call);
-                Py_DECREF(entry);
-                return NULL;
-            }
-            Py_DECREF(call);
-            Py_DECREF(entry);
-            continue;
-        }
-        if (call->time != call->heap_time) {
-            /* Deferred by reschedule(): re-key to the new time. */
-            popped = heap_pop(queue);
-            if (popped == NULL) {
-                Py_DECREF(call);
-                Py_DECREF(entry);
-                return NULL;
-            }
-            Py_DECREF(popped);
-            if (core_repush_deferred(self, call) < 0) {
-                Py_DECREF(call);
-                Py_DECREF(entry);
-                return NULL;
-            }
+            /* No pooling here: the live `entry` reference means the
+             * loop never holds the sole reference. */
             Py_DECREF(call);
             Py_DECREF(entry);
             continue;
@@ -1108,12 +919,6 @@ Core_run_until(CoreObject *self, PyObject *until)
             }
             Py_DECREF(res);
         }
-        /* Never pools: `entry` is still alive (see above). */
-        if (core_maybe_pool(self, call) < 0) {
-            Py_DECREF(call);
-            Py_DECREF(entry);
-            return NULL;
-        }
         Py_DECREF(call);
         Py_DECREF(entry);
     }
@@ -1153,15 +958,6 @@ Core_run_all(CoreObject *self, PyObject *Py_UNUSED(ignored))
             Py_DECREF(entry);
             if (call->cancelled) {
                 if (core_maybe_pool(self, call) < 0) {
-                    Py_DECREF(call);
-                    return NULL;
-                }
-                Py_DECREF(call);
-                continue;
-            }
-            if (call->time != call->heap_time) {
-                /* Deferred by reschedule(): re-key to the new time. */
-                if (core_repush_deferred(self, call) < 0) {
                     Py_DECREF(call);
                     return NULL;
                 }
@@ -1235,17 +1031,8 @@ Core_run_until_triggered(CoreObject *self, PyObject *event)
                 Py_INCREF(call);
                 time = call->time;
                 Py_DECREF(entry);
-                if (!call->cancelled) {
-                    if (call->time == call->heap_time)
-                        break;
-                    /* Deferred by reschedule(): re-key and rescan. */
-                    if (core_repush_deferred(self, call) < 0) {
-                        Py_DECREF(call);
-                        return NULL;
-                    }
-                    Py_DECREF(call);
-                    continue;
-                }
+                if (!call->cancelled)
+                    break;
                 if (core_maybe_pool(self, call) < 0) {
                     Py_DECREF(call);
                     return NULL;
@@ -1264,44 +1051,6 @@ Core_run_until_triggered(CoreObject *self, PyObject *event)
         }
     }
     Py_RETURN_NONE;
-}
-
-static PyObject *
-Core_peek_time(CoreObject *self, PyObject *Py_UNUSED(ignored))
-{
-    PyObject *queue = self->queue;
-
-    while (PyList_GET_SIZE(queue) > 0) {
-        PyObject *entry = PyList_GET_ITEM(queue, 0);
-        CallObject *call = (CallObject *)PyTuple_GET_ITEM(entry, 2);
-        PyObject *popped;
-
-        if (!call->cancelled) {
-            if (call->time == call->heap_time)
-                return PyLong_FromLongLong(call->time);
-            /* Deferred by reschedule(): re-key to the new time. */
-            Py_INCREF(call);
-            popped = heap_pop(queue);
-            if (popped == NULL) {
-                Py_DECREF(call);
-                return NULL;
-            }
-            Py_DECREF(popped);
-            if (core_repush_deferred(self, call) < 0) {
-                Py_DECREF(call);
-                return NULL;
-            }
-            Py_DECREF(call);
-            continue;
-        }
-        /* Cancelled heads are dropped without a pooling attempt,
-         * exactly as the pure _peek_time does. */
-        popped = heap_pop(queue);
-        if (popped == NULL)
-            return NULL;
-        Py_DECREF(popped);
-    }
-    return PyLong_FromLongLong(self->now);
 }
 
 static PyObject *
@@ -1366,11 +1115,6 @@ Core_set_hooks(CoreObject *self, PyObject *value, void *closure)
 static PyMethodDef Core_methods[] = {
     {"schedule", (PyCFunction)(void (*)(void))Core_schedule,
      METH_FASTCALL, "schedule(delay_ns, fn, *args) -> ScheduledCall"},
-    {"reschedule", (PyCFunction)(void (*)(void))Core_reschedule,
-     METH_FASTCALL,
-     "reschedule(call, delay_ns) -> ScheduledCall\n"
-     "Move a pending call to fire after delay_ns; defers in place\n"
-     "when the new time is not earlier (no cancelled tombstone)."},
     {"step", (PyCFunction)Core_step, METH_NOARGS,
      "Execute the next non-cancelled callback; False when empty."},
     {"run_all", (PyCFunction)Core_run_all, METH_NOARGS,
@@ -1379,8 +1123,6 @@ static PyMethodDef Core_methods[] = {
      "Run until the clock reaches the deadline."},
     {"run_until_triggered", (PyCFunction)Core_run_until_triggered,
      METH_O, "Run until the event triggers."},
-    {"peek_time", (PyCFunction)Core_peek_time, METH_NOARGS,
-     "Earliest live event time (now when the queue is empty)."},
     {"maybe_compact", (PyCFunction)Core_maybe_compact, METH_NOARGS,
      "Drop lazily-cancelled heap entries once they are the majority."},
     {NULL, NULL, 0, NULL},
@@ -2351,8 +2093,7 @@ PyInit__corec(void)
     PyObject *m;
 
     /* Defining tp_richcompare suppresses the inherited hash; restore
-     * object's identity hash (the pure ScheduledCall defines only
-     * __lt__ and stays hashable). */
+     * object's identity hash (the pure ScheduledCall is hashable). */
     CallType.tp_hash = PyBaseObject_Type.tp_hash;
     if (PyType_Ready(&CallType) < 0)
         return NULL;
@@ -2399,6 +2140,10 @@ PyInit__corec(void)
     Py_INCREF(&CoreType);
     if (PyModule_AddObject(m, "EngineCore", (PyObject *)&CoreType) < 0) {
         Py_DECREF(&CoreType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    if (PyModule_AddIntConstant(m, "POOL_MAX", POOL_MAX) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -6,8 +6,8 @@ Measures the hot layers of the reproduction —
 * CPU-model job throughput (with preemption traffic),
 * Internet-checksum bandwidth,
 * mbuf chain build/free churn (exercises the free list),
-* timer re-arm hot paths (faithful cancel+schedule vs the engine's
-  ``reschedule`` fast path vs the tick wheel) at 1000 connections,
+* timer re-arm hot paths (faithful cancel+schedule vs the tick
+  wheel) at 1000 connections,
 * full-stack round-trip wall time,
 * cold serial Table 1 regeneration wall time, and
 * connection-scale closed-loop RPC workloads (events/s at 100, 1000
@@ -187,13 +187,11 @@ def bench_timer_rearm(path: str, conns: int = 1000,
     resident connections.
 
     Every ACK pushes the retransmit timer out by a full RTO, so the arm
-    operation (not the expiry) is the hot path.  Three implementations:
+    operation (not the expiry) is the hot path.  Two implementations:
 
-    * ``faithful``   — cancel + fresh schedule, the default kernel path
+    * ``faithful`` — cancel + fresh schedule, the default kernel path
       (one heap push plus a cancelled tombstone per ACK);
-    * ``reschedule`` — the engine's in-place deferral fast path (no
-      heap traffic when the new deadline is not earlier);
-    * ``wheel``      — :class:`~repro.tcp.timewheel.TimerWheel` arm, a
+    * ``wheel``    — :class:`~repro.tcp.timewheel.TimerWheel` arm, a
       deadline overwrite in a dict (BSD's ``t_timer[]`` store).
     """
     sim = Simulator()
@@ -220,17 +218,7 @@ def bench_timer_rearm(path: str, conns: int = 1000,
         return ops / elapsed
 
     calls = [sim.schedule(delay, noop) for _ in range(conns)]
-    if path == "reschedule":
-        reschedule = sim.reschedule
-        for i in range(warmup):
-            j = i % conns
-            calls[j] = reschedule(calls[j], delay)
-        start = time.perf_counter()  # repro: allow(wall-clock)
-        for i in range(ops):
-            j = i % conns
-            calls[j] = reschedule(calls[j], delay)
-        elapsed = time.perf_counter() - start  # repro: allow(wall-clock)
-    elif path == "faithful":
+    if path == "faithful":
         schedule = sim.schedule
         for i in range(warmup):
             j = i % conns
@@ -326,7 +314,7 @@ def run_benchmarks(quick: bool = False) -> Dict[str, float]:
             metrics[f"pcb_lookup_{mode}_{entries}_per_sec"] = \
                 bench_pcb_lookup(mode, entries)
     # Timer re-arm hot paths, 1000 resident connections.
-    for path in ("faithful", "reschedule", "wheel"):
+    for path in ("faithful", "wheel"):
         metrics[f"timer_rearm_{path}_per_sec"] = \
             bench_timer_rearm(path, ops=200_000 // scale)
     # Connection-scale closed-loop workloads: the scaled kernel at the

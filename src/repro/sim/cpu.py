@@ -24,7 +24,9 @@ straight from the completion's dispatch slot (the direct path
 :meth:`Simulator.timeout` also takes), with no delay-0 hop through
 :meth:`Event.succeed`.  Starting the next job first keeps the order
 the hop gave: a more urgent job the resumed process submits at once
-still preempts that job at the same instant.
+still preempts that job at the same instant.  A job submitted to an
+idle CPU starts at once, without a trip through the ready heap, and a
+finished job only consults the ready heap when a job is waiting there.
 """
 
 from __future__ import annotations
@@ -111,9 +113,21 @@ class CPU:
             raise ValueError(f"negative CPU work: {duration_ns}")
         seq = next(self._seq)
         sim = self.sim
-        job = Job(sim, priority, seq, int(duration_ns), name, sim.now)
-        heapq.heappush(self._ready, (priority, seq, job))
-        self._dispatch()
+        now = sim.now
+        job = Job(sim, priority, seq, int(duration_ns), name, now)
+        if self._running is None and not self._ready:
+            # Idle CPU: the job starts at once, with no ready-heap round
+            # trip (what _dispatch would pick anyway).
+            self._running = job
+            self._run_started_at = now
+            if sim.hooks is not None:
+                sim.hooks.on_job_start(now, self, job)
+            job.started = True
+            self._completion = sim.schedule(
+                job.remaining, self._complete, job)
+        else:
+            heapq.heappush(self._ready, (priority, seq, job))
+            self._dispatch()
         return job
 
     # ------------------------------------------------------------------
@@ -139,26 +153,27 @@ class CPU:
     # Dispatch machinery
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
+        """Give the CPU to the most urgent ready job (callers leave at
+        least one in ``_ready``), preempting the running job only if it
+        is strictly less urgent."""
         ready = self._ready
-        if self._running is not None:
-            if not ready or ready[0][0] >= self._running.priority:
+        running = self._running
+        if running is not None:
+            if ready[0][0] >= running.priority:
                 return
             self._preempt()
-        if not ready:
-            return
         job = heapq.heappop(ready)[2]
+        sim = self.sim
+        now = sim.now
         self._running = job
-        self._run_started_at = self.sim.now
-        hooks = self.sim.hooks
-        if hooks is not None:
+        self._run_started_at = now
+        if sim.hooks is not None:
             if job.started:
-                hooks.on_job_resume(self.sim.now, self, job)
+                sim.hooks.on_job_resume(now, self, job)
             else:
-                hooks.on_job_start(self.sim.now, self, job)
+                sim.hooks.on_job_start(now, self, job)
         job.started = True
-        self._completion = self.sim.schedule(
-            job.remaining, self._complete, job
-        )
+        self._completion = sim.schedule(job.remaining, self._complete, job)
 
     def _account(self, job: Job, elapsed: int) -> None:
         self.busy_ns += elapsed
@@ -189,5 +204,6 @@ class CPU:
         if self.sim.hooks is not None:
             self.sim.hooks.on_job_finish(self.sim.now, self, job)
         # Next job first, then the waiters: see the module docstring.
-        self._dispatch()
+        if self._ready:
+            self._dispatch()
         job._fire()

@@ -15,27 +15,27 @@ The kernel is deliberately small and deterministic:
   and every hook site is a single ``is not None`` test, so an
   unobserved run pays nothing and stays byte-identical to the seed.
 
-Performance notes (the ``repro.perf`` hot path):
+Performance notes (the pure-Python hot path):
 
 * Heap entries are ``(time, key, call)`` tuples, so every sift
   comparison during push/pop is a C-level integer compare —
   :class:`ScheduledCall` objects are never compared by the heap.
-* The dispatch loops in :meth:`Simulator.run` and
-  :meth:`Simulator.run_until_triggered` are inlined with hot names
-  bound to locals, and split into a hooks-off fast variant so the
-  unobserved run does not re-test ``self.hooks`` against every hook
-  site of :meth:`Simulator.step`.
-* Dispatched :class:`ScheduledCall` handles are recycled on a
-  per-simulator free list.  A handle is only pooled when the dispatch
-  loop holds the *sole* remaining reference (checked with
-  ``sys.getrefcount``), so a caller that kept the handle — a TCP
-  retransmit timer, the CPU model's completion — can never observe
-  its object being reused, and a stale ``cancel()`` can never hit a
-  recycled entry.
-* Lazily-cancelled entries are skipped at a single point, and the heap
-  is compacted in place once cancelled entries outnumber live ones
+* One dispatch loop, :meth:`Simulator._run`, serves :meth:`step`,
+  :meth:`run` with and without a deadline, and
+  :meth:`run_until_triggered`; they differ only in its two stop tests
+  (a deadline and an event).  The hooks test is inline, one
+  ``is not None`` per dispatch, so hooks installed mid-run are seen
+  from the next event on.
+* A :class:`ScheduledCall` is three fields.  :meth:`ScheduledCall.cancel`
+  clears ``fn``, which is the loop's single cancelled-entry test; a
+  handle is never reused, so a stale ``cancel()`` on a spent handle is
+  a harmless no-op.
+* Lazily-cancelled entries stay in the heap until they surface, and the
+  heap is compacted in place once cancelled entries outnumber live ones
   (the CPU model's preemption leaves dead completions far in the
   future; TCP cancels retransmit/delayed-ack timers constantly).
+* ``Simulator.now`` is a plain attribute: the model reads it a few
+  hundred times per round trip.
 
 Everything else in :mod:`repro` — the CPU model, the device models, the
 protocol stack — is built on these primitives.
@@ -43,8 +43,7 @@ protocol stack — is built on these primitives.
 
 from __future__ import annotations
 
-import heapq
-from sys import getrefcount as _refcount
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.sim.errors import (
@@ -67,9 +66,6 @@ __all__ = [
 
 #: Nanoseconds per microsecond; the paper reports everything in µs.
 NS_PER_US = 1000
-
-#: Upper bound on pooled ScheduledCall handles per simulator.
-_POOL_MAX = 1024
 
 #: Cancelled-entry compaction is considered every this-many schedules.
 _COMPACT_MASK = 0xFFF
@@ -128,39 +124,27 @@ class ScheduledCall:
     """Handle for a callback sitting in the event queue.
 
     Cancellation is lazy: the heap entry stays in place and is skipped by
-    the main loop once :meth:`cancel` has been called.  This is how the CPU
-    model revokes a completion event when a job is preempted.
+    the dispatch loop once :meth:`cancel` has cleared ``fn``.  This is how
+    the CPU model revokes a completion event when a job is preempted.
     """
 
-    __slots__ = ("time", "seq", "key", "fn", "args", "cancelled")
+    __slots__ = ("time", "fn", "args")
 
-    def __init__(self, time: int, seq: int, fn: Callable, args: tuple,
-                 key: Optional[int] = None):
+    def __init__(self, time: int, fn: Optional[Callable], args: tuple):
         self.time = time
-        self.seq = seq
-        #: Same-timestamp sort key.  Equal to *seq* (insertion order)
-        #: under the default FIFO tie-break; a perturbed tie-break
-        #: policy (see :func:`tiebreak_keyfn`) substitutes another
-        #: deterministic key so the race detector can reorder
-        #: logically-concurrent events.
-        self.key = seq if key is None else key
         self.fn = fn
         self.args = args
-        self.cancelled = False
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` has been called."""
+        return self.fn is None
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
-        self.cancelled = True
         # Drop references eagerly so cancelled chains do not pin memory.
-        self.fn = _noop
+        self.fn = None
         self.args = ()
-
-    def __lt__(self, other: "ScheduledCall") -> bool:
-        return (self.time, self.key) < (other.time, other.key)
-
-
-def _noop(*_args: Any) -> None:
-    return None
 
 
 class Event:
@@ -181,13 +165,14 @@ class Event:
         self.sim = sim
         self.name = name
         self._callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: ``_PENDING`` until triggered; ``None`` once failed.
         self._value: Any = Event._PENDING
         self._exc: Optional[BaseException] = None
 
     @property
     def triggered(self) -> bool:
         """Whether :meth:`succeed` or :meth:`fail` has been called."""
-        return self._value is not Event._PENDING or self._exc is not None
+        return self._value is not Event._PENDING
 
     @property
     def ok(self) -> bool:
@@ -205,7 +190,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering *value* to waiters."""
-        if self.triggered:
+        if self._value is not Event._PENDING:
             raise EventError(f"event {self.name!r} already triggered")
         self._value = value
         self._schedule_callbacks()
@@ -213,10 +198,11 @@ class Event:
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception, raised in each waiter."""
-        if self.triggered:
+        if self._value is not Event._PENDING:
             raise EventError(f"event {self.name!r} already triggered")
         if not isinstance(exc, BaseException):
             raise EventError("fail() requires an exception instance")
+        self._value = None
         self._exc = exc
         self._schedule_callbacks()
         return self
@@ -229,7 +215,7 @@ class Event:
         simulated time and in registration order; callbacks added after
         the trigger still go through :meth:`add_callback`'s scheduled
         path."""
-        if self._value is not Event._PENDING or self._exc is not None:
+        if self._value is not Event._PENDING:
             raise EventError(f"event {self.name!r} already triggered")
         self._value = value
         callbacks, self._callbacks = self._callbacks, None
@@ -282,7 +268,7 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        sim.schedule(0, self._resume, None, None)
+        sim.schedule(0, self._resume, None)
         if sim.hooks is not None:
             sim.hooks.on_process_start(sim.now, self)
 
@@ -291,12 +277,20 @@ class Process(Event):
         """Whether the underlying generator has not yet finished."""
         return not self.triggered
 
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _resume(self, event: Optional[Event]) -> None:
+        """Advance the generator to its next wait.
+
+        The one entry point of a process: its start and its integer
+        timeouts pass ``None``, and an event it waits on calls this
+        with itself (its value is sent in, its exception thrown in).
+        """
         try:
-            if exc is not None:
-                target = self._gen.throw(exc)
+            if event is None:
+                target = self._gen.send(None)
+            elif event._exc is None:
+                target = self._gen.send(event._value)
             else:
-                target = self._gen.send(value)
+                target = self._gen.throw(event._exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             self._notify_end()
@@ -305,36 +299,39 @@ class Process(Event):
             self.fail(error)
             self._notify_end()
             return
-        try:
-            self._wait_on(target)
-        except ProcessError as error:
+        if isinstance(target, Event):
+            callbacks = target._callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
+            else:
+                # Already triggered and dispatched: resume at once,
+                # through the queue (add_callback's path).
+                self.sim.schedule(0, self._resume, target)
+        elif isinstance(target, int):
+            # Plain integers are timeouts in nanoseconds.
+            self.sim.schedule(target, self._resume, None)
+        else:
             self._gen.close()
-            self.fail(error)
+            self.fail(ProcessError(
+                f"process {self.name!r} yielded non-waitable "
+                f"{type(target).__name__}: {target!r}"
+            ))
             self._notify_end()
 
     def _notify_end(self) -> None:
         if self.sim.hooks is not None:
             self.sim.hooks.on_process_end(self.sim.now, self)
 
-    def _wait_on(self, target: Any) -> None:
-        if isinstance(target, int):
-            # Plain integers are timeouts in nanoseconds.
-            self.sim.schedule(target, self._resume, None, None)
-            return
-        if isinstance(target, Event):
-            target.add_callback(self._on_event)
-            return
-        raise ProcessError(
-            f"process {self.name!r} yielded non-waitable "
-            f"{type(target).__name__}: {target!r}"
-        )
 
-    def _on_event(self, event: Event) -> None:
-        exc = event._exc
-        if exc is None:
-            self._resume(event._value, None)
-        else:
-            self._resume(None, exc)
+class _Once:
+    """Stop token for :meth:`Simulator.step`: it reads as a triggered
+    event, so the dispatch loop returns after its first callback."""
+
+    __slots__ = ()
+    _value = None
+
+
+_ONCE = _Once()
 
 
 class Simulator:
@@ -342,15 +339,14 @@ class Simulator:
 
     def __init__(self, hooks: Optional[Any] = None,
                  tiebreak: Optional[str] = None) -> None:
-        self._now = 0
+        #: Current simulated time in nanoseconds.
+        self.now = 0
         #: Heap of ``(time, key, ScheduledCall)``: comparisons stay on
         #: the integer prefix (keys are unique per simulator), so the
         #: heap never falls back to comparing ScheduledCall objects.
         self._queue: List[tuple] = []
         self._seq_next = 0
         self._events_executed = 0
-        #: Recycled ScheduledCall handles (see module docstring).
-        self._pool: List[ScheduledCall] = []
         #: Observability hooks (repro.obs.hooks.SimHooks) or None.
         #: Read directly by the CPU model; install via set_hooks().
         self.hooks: Optional[Any] = None
@@ -379,24 +375,14 @@ class Simulator:
         self.hooks = hooks
 
     @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
-    @property
     def now_us(self) -> float:
         """Current simulated time in microseconds."""
-        return to_us(self._now)
+        return to_us(self.now)
 
     @property
     def events_executed(self) -> int:
         """Number of callbacks executed so far (diagnostics)."""
         return self._events_executed
-
-    @property
-    def pooled_calls(self) -> int:
-        """ScheduledCall handles currently on the free list (diagnostics)."""
-        return len(self._pool)
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -407,72 +393,29 @@ class Simulator:
             raise SchedulingError(f"negative delay: {delay_ns}")
         seq = self._seq_next
         self._seq_next = seq + 1
-        key = seq if self._keyfn is None else self._keyfn(seq)
-        time = self._now + int(delay_ns)
-        pool = self._pool
-        if pool:
-            call = pool.pop()
-            call.time = time
-            call.seq = seq
-            call.key = key
-            call.fn = fn
-            call.args = args
-            call.cancelled = False
-        else:
-            call = ScheduledCall(time, seq, fn, args, key)
-        heapq.heappush(self._queue, (time, key, call))
+        time = self.now + int(delay_ns)
+        call = ScheduledCall(time, fn, args)
+        heappush(self._queue, (
+            time, seq if self._keyfn is None else self._keyfn(seq), call))
         if not (seq & _COMPACT_MASK):
             self._maybe_compact()
         if self.hooks is not None:
-            self.hooks.on_schedule(self._now, call)
+            self.hooks.on_schedule(self.now, call)
         return call
-
-    def reschedule(self, call: ScheduledCall, delay_ns: int) -> ScheduledCall:
-        """Move a **pending** *call* to fire after *delay_ns* instead.
-
-        The dominant timer pattern — cancel + re-schedule of the same
-        callback on every ACK — leaves a cancelled tombstone in the heap
-        per cycle.  When the new time is not earlier than the call's
-        current one (the common case: pushing a deadline out), this
-        defers in place: ``call.time`` is updated and the stale heap
-        entry is re-keyed lazily when it surfaces at a pop, so no
-        tombstone is ever created.  An earlier target falls back to
-        cancel + fresh schedule (returning the new handle).
-
-        The deferred call keeps its original tie-break key, so among
-        same-time events it sorts where its *first* scheduling did —
-        which is why the default TCP timer path does not use this (the
-        goldens pin cancel+schedule ordering).  Only valid on a call
-        that has neither fired nor been cancelled, like BSD's
-        ``untimeout``/``timeout`` pairing.
-        """
-        if delay_ns < 0:
-            raise SchedulingError(f"negative delay: {delay_ns}")
-        if call.cancelled:
-            raise SchedulingError("reschedule() on a cancelled call")
-        new_time = self._now + int(delay_ns)
-        if new_time >= call.time:
-            call.time = new_time
-            if self.hooks is not None:
-                self.hooks.on_schedule(self._now, call)
-            return call
-        fn, args = call.fn, call.args
-        call.cancel()
-        return self.schedule(delay_ns, fn, *args)
 
     def _maybe_compact(self) -> None:
         """Drop lazily-cancelled heap entries once they are the majority.
 
         Rebuilds **in place** (slice assignment + heapify) because the
-        dispatch loops hold a direct reference to the heap list.
+        dispatch loop holds a direct reference to the heap list.
         """
         queue = self._queue
         if len(queue) < _COMPACT_MIN:
             return
-        live = [entry for entry in queue if not entry[2].cancelled]
+        live = [entry for entry in queue if entry[2].fn is not None]
         if len(live) * 2 <= len(queue):
             queue[:] = live
-            heapq.heapify(queue)
+            heapify(queue)
 
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
@@ -554,216 +497,66 @@ class Simulator:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next non-cancelled callback.  Returns False when
-        the queue is empty.
+    def _run(self, until: Optional[int], stop: Any) -> bool:
+        """The dispatch loop: run live callbacks in ``(time, key)`` order.
 
-        This is the single cancelled-entry skip point: ``run(until)``
-        peeks through the same logic instead of re-scanning (the seed
-        popped cancelled heads in ``_peek_time`` *and* re-checked
-        ``cancelled`` here on every iteration).
+        Returns True when it stops early: at the first live entry due
+        after *until*, which stays queued, or once the event *stop* has
+        triggered after a dispatch.  Returns False when the queue holds
+        nothing live.  ``None`` disables either stop test.
         """
         queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            time, _key, call = pop(queue)
-            if call.cancelled:
-                if _refcount(call) == 2 and len(self._pool) < _POOL_MAX:
-                    call.fn = _noop
-                    call.args = ()
-                    self._pool.append(call)
-                continue
-            if call.time != time:
-                # Deferred by reschedule(): re-key to the new time.
-                heapq.heappush(queue, (call.time, call.key, call))
-                continue
-            if time < self._now:
-                raise SchedulingError("event queue went backwards in time")
-            self._now = time
-            self._events_executed += 1
-            if self.hooks is not None:
-                self.hooks.on_dispatch(time, call)
-            call.fn(*call.args)
-            # Recycle the handle if the loop holds the only reference
-            # left (callers that kept it — timers, CPU completions —
-            # keep their object untouched; see module docstring).
-            if _refcount(call) == 2 and len(self._pool) < _POOL_MAX:
-                call.fn = _noop
-                call.args = ()
-                self._pool.append(call)
-            return True
-        return False
+        pending = Event._PENDING
+        executed = 0
+        try:
+            while queue:
+                time, key, call = heappop(queue)
+                fn = call.fn
+                if fn is None:
+                    continue  # cancelled
+                if until is not None and time > until:
+                    heappush(queue, (time, key, call))
+                    return True
+                if time < self.now:
+                    raise SchedulingError(
+                        "event queue went backwards in time")
+                self.now = time
+                executed += 1
+                if self.hooks is not None:
+                    self.hooks.on_dispatch(time, call)
+                fn(*call.args)
+                if stop is not None and stop._value is not pending:
+                    return True
+            return False
+        finally:
+            self._events_executed += executed
+
+    def step(self) -> bool:
+        """Execute the next non-cancelled callback.  Returns False when
+        the queue holds none."""
+        return self._run(None, _ONCE)
 
     def run(self, until: Optional[int] = None) -> None:
         """Run the event loop.
 
         With *until* (nanoseconds), stop once the clock reaches it (or the
         queue drains, whichever comes first) and advance the clock to
-        *until*.  Without it, run until the queue is empty.
+        *until*; an event due exactly at *until* runs.  Without it, run
+        until the queue is empty.
         """
         if until is None:
-            self._run_all()
+            self._run(None, None)
             return
-        if until < self._now:
+        if until < self.now:
             raise SchedulingError(f"until={until} is in the past")
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        pool = self._pool
-        executed = 0
-        try:
-            while queue:
-                entry = queue[0]
-                call = entry[2]
-                if call.cancelled:
-                    pop(queue)
-                    if _refcount(call) == 2 and len(pool) < _POOL_MAX:
-                        call.fn = _noop
-                        call.args = ()
-                        pool.append(call)
-                    continue
-                time = entry[0]
-                if call.time != time:
-                    # Deferred by reschedule(): re-key to the new time.
-                    pop(queue)
-                    push(queue, (call.time, call.key, call))
-                    continue
-                if time > until:
-                    break
-                pop(queue)
-                if time < self._now:
-                    raise SchedulingError(
-                        "event queue went backwards in time")
-                self._now = time
-                executed += 1
-                hooks = self.hooks
-                if hooks is not None:
-                    hooks.on_dispatch(time, call)
-                call.fn(*call.args)
-                if _refcount(call) == 2 and len(pool) < _POOL_MAX:
-                    call.fn = _noop
-                    call.args = ()
-                    pool.append(call)
-        finally:
-            self._events_executed += executed
-        self._now = until
-
-    def _run_all(self) -> None:
-        """Drain the queue (``run()`` with no deadline), hooks-off fast
-        loop with a hooks-aware fallback."""
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        pool = self._pool
-        executed = 0
-        try:
-            while queue:
-                if self.hooks is not None:
-                    # Hooks installed (possibly mid-run): take the
-                    # fully-guarded path for the remaining events.
-                    self._events_executed += executed
-                    executed = 0
-                    while self.step():
-                        pass
-                    return
-                time, _key, call = pop(queue)
-                if call.cancelled:
-                    if _refcount(call) == 2 and len(pool) < _POOL_MAX:
-                        call.fn = _noop
-                        call.args = ()
-                        pool.append(call)
-                    continue
-                if call.time != time:
-                    # Deferred by reschedule(): re-key to the new time.
-                    push(queue, (call.time, call.key, call))
-                    continue
-                if time < self._now:
-                    raise SchedulingError(
-                        "event queue went backwards in time")
-                self._now = time
-                executed += 1
-                call.fn(*call.args)
-                if _refcount(call) == 2 and len(pool) < _POOL_MAX:
-                    call.fn = _noop
-                    call.args = ()
-                    pool.append(call)
-        finally:
-            self._events_executed += executed
+        self._run(until, None)
+        self.now = until
 
     def run_until_triggered(self, event: Event) -> Any:
         """Run until *event* triggers; return its value."""
-        pending = Event._PENDING
-        if self.hooks is not None:
-            while event._value is pending and event._exc is None:
-                if not self.step():
-                    raise Deadlock(
-                        f"event queue drained; {event!r} never triggered"
-                    )
-            return event.value
-        # Hooks-off fast loop: inlined dispatch, hot names in locals.
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        pool = self._pool
-        executed = 0
-        try:
-            while event._value is pending and event._exc is None:
-                if self.hooks is not None:
-                    # Installed mid-run: fall back to the guarded path.
-                    self._events_executed += executed
-                    executed = 0
-                    if not self.step():
-                        raise Deadlock(
-                            f"event queue drained; {event!r} never "
-                            f"triggered")
-                    continue
-                while True:
-                    if not queue:
-                        raise Deadlock(
-                            f"event queue drained; {event!r} never "
-                            f"triggered")
-                    time, _key, call = pop(queue)
-                    if not call.cancelled:
-                        if call.time == time:
-                            break
-                        # Deferred by reschedule(): re-key and rescan.
-                        push(queue, (call.time, call.key, call))
-                        continue
-                    if _refcount(call) == 2 and len(pool) < _POOL_MAX:
-                        call.fn = _noop
-                        call.args = ()
-                        pool.append(call)
-                if time < self._now:
-                    raise SchedulingError(
-                        "event queue went backwards in time")
-                self._now = time
-                executed += 1
-                call.fn(*call.args)
-                if _refcount(call) == 2 and len(pool) < _POOL_MAX:
-                    call.fn = _noop
-                    call.args = ()
-                    pool.append(call)
-        finally:
-            self._events_executed += executed
+        if event._value is Event._PENDING and not self._run(None, event):
+            raise Deadlock(f"event queue drained; {event!r} never triggered")
         return event.value
-
-    def _peek_time(self) -> int:
-        """Earliest live event time (compat helper; the run loops now
-        peek inline through :meth:`step`'s single skip point)."""
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            call = entry[2]
-            if call.cancelled:
-                heapq.heappop(queue)
-                continue
-            if call.time != entry[0]:
-                # Deferred by reschedule(): re-key to the new time.
-                heapq.heappop(queue)
-                heapq.heappush(queue, (call.time, call.key, call))
-                continue
-            return entry[0]
-        return self._now
 
 
 # ----------------------------------------------------------------------
@@ -772,16 +565,20 @@ class Simulator:
 # Selected once at import time via repro.perf.native (REPRO_NATIVE=0|1).
 # The native Simulator subclasses the pure one — every non-hot method
 # (events, processes, timeouts, hook validation) is inherited — and
-# delegates the clock, heap, free list and dispatch loops to an
-# EngineCore whose semantics are byte-identical (same event order, same
-# pooling refcount discipline, same compaction cadence, same error
-# classes and messages).  tests/perf_golden/ gates the equivalence.
+# delegates the clock, heap and dispatch loops to an EngineCore whose
+# event order is byte-identical (same compaction cadence, same error
+# classes and messages).  The core also recycles dispatched handles on
+# a free list of its own.  tests/perf_golden/ gates the equivalence.
 
 import repro.perf.native as _native_dispatch
 
 _CORE = _native_dispatch.lib
 
 if _CORE is not None:
+    def _noop(*_args: Any) -> None:
+        """The callback the core parks on cancelled and pooled handles."""
+        return None
+
     _CORE.engine_install(Event._PENDING, SchedulingError, Deadlock, _noop)
 
     _PurePythonSimulator = Simulator
@@ -795,11 +592,9 @@ if _CORE is not None:
             self._keyfn = tiebreak_keyfn(tiebreak)
             core = _CORE.EngineCore(self._keyfn)
             self._core = core
-            #: Bound C methods in the instance dict: callers resolve
-            #: `sim.schedule`/`sim.reschedule` straight to the compiled
-            #: entry points.
+            #: Bound C method in the instance dict: callers resolve
+            #: `sim.schedule` straight to the compiled entry point.
             self.schedule = core.schedule
-            self.reschedule = core.reschedule
             if hooks is not None:
                 self.set_hooks(hooks)
 
@@ -817,28 +612,17 @@ if _CORE is not None:
             return self._core.now
 
         @property
-        def now_us(self) -> float:
-            return to_us(self._core.now)
-
-        @property
         def events_executed(self) -> int:
             return self._core.events_executed
 
         @property
         def pooled_calls(self) -> int:
+            """ScheduledCall handles on the core's free list."""
             return self._core.pooled_calls
-
-        @property
-        def _now(self) -> int:
-            return self._core.now
 
         @property
         def _queue(self) -> List[tuple]:
             return self._core.queue
-
-        @property
-        def _pool(self) -> List[Any]:
-            return self._core.pool
 
         # -- hot loops ------------------------------------------------
         def step(self) -> bool:
@@ -856,8 +640,5 @@ if _CORE is not None:
 
         def _maybe_compact(self) -> None:
             self._core.maybe_compact()
-
-        def _peek_time(self) -> int:
-            return self._core.peek_time()
 
     Simulator = _NativeSimulator  # type: ignore[misc]

@@ -16,9 +16,12 @@ class SockBufError(Exception):
 class SockBuf:
     """One direction's buffered data plus its high-water mark.
 
-    ``sb_cc`` is the byte count; the chain holds the actual data.  Sleep
-    channels for readers/writers are managed by the owning socket — the
-    sockbuf itself is a pure data structure.
+    :attr:`cc` is BSD's ``sb_cc``: the byte count, kept by
+    :meth:`append`, :meth:`drop` and :meth:`flush` (every change to the
+    chain goes through them) rather than summed over the chain on each
+    read.  The chain holds the actual data.  Sleep channels for
+    readers/writers are managed by the owning socket — the sockbuf
+    itself is a pure data structure.
     """
 
     def __init__(self, pool: MbufPool, hiwat: int, name: str = "sockbuf"):
@@ -26,13 +29,10 @@ class SockBuf:
         self.hiwat = hiwat
         self.name = name
         self.chain = MbufChain()
+        #: Bytes currently buffered (sb_cc); equal to ``chain.length``.
+        self.cc = 0
         self.appends = 0
         self.drops = 0
-
-    @property
-    def cc(self) -> int:
-        """Bytes currently buffered (sb_cc)."""
-        return self.chain.length
 
     @property
     def space(self) -> int:
@@ -45,12 +45,14 @@ class SockBuf:
 
     def append(self, chain: MbufChain) -> None:
         """sbappend: add a chain's mbufs to the tail."""
-        if chain.length > self.space:
+        length = chain.length
+        if length > self.space:
             raise SockBufError(
-                f"{self.name}: appending {chain.length} bytes into "
+                f"{self.name}: appending {length} bytes into "
                 f"{self.space} bytes of space"
             )
         self.chain.extend(chain)
+        self.cc += length
         self.appends += 1
 
     def drop(self, nbytes: int) -> int:
@@ -60,7 +62,9 @@ class SockBuf:
                 f"{self.name}: dropping {nbytes} of {self.cc} bytes"
             )
         self.drops += 1
-        return self.pool.drop_front(self.chain, nbytes)
+        cost = self.pool.drop_front(self.chain, nbytes)
+        self.cc -= nbytes
+        return cost
 
     def flush(self) -> None:
         """sbflush: release every buffered mbuf (socket teardown).
@@ -71,6 +75,7 @@ class SockBuf:
         if self.chain.mbuf_count:
             self.pool.free_chain(self.chain)
             self.chain = MbufChain()
+            self.cc = 0
             self.drops += 1
 
     def peek(self, nbytes: int) -> bytes:

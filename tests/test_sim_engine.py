@@ -297,24 +297,11 @@ def test_determinism_event_counts_match():
 
 
 class TestHotPathMachinery:
-    """The perf machinery behind the fast path: handle pooling, heap
-    compaction, and the direct timeout dispatch — all invisible to
-    simulation results (see tests/test_perf_equivalence.py for the
-    end-to-end byte-identity proof)."""
-
-    def test_dispatched_handles_are_pooled_and_reused(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.schedule(i, fired.append, i)
-        sim.run()
-        assert fired == list(range(10))
-        assert sim.pooled_calls > 0
-        before = sim.pooled_calls
-        sim.schedule(100, fired.append, 10)
-        assert sim.pooled_calls == before - 1  # reused, not allocated
-        sim.run()
-        assert fired[-1] == 10
+    """The perf machinery behind the fast path: heap compaction, the
+    inline hooks test and the direct timeout dispatch — all invisible
+    to simulation results (see tests/test_perf_equivalence.py for the
+    end-to-end byte-identity proof).  The compiled core's handle pool
+    is tested in tests/test_native_dispatch.py."""
 
     def test_retained_handle_is_never_recycled(self):
         """A caller keeping the handle (timer-style) must keep a dead
@@ -325,7 +312,6 @@ class TestHotPathMachinery:
         handle = sim.schedule(5, fired.append, "kept")
         sim.schedule(10, fired.append, "later")
         sim.run()
-        assert sim.pooled_calls >= 1
         handle.cancel()  # stale cancel on a retained, spent handle
         # New work is unaffected by the stale cancel.
         sim.schedule(20, fired.append, "after")
@@ -391,15 +377,6 @@ class TestHotPathMachinery:
         with pytest.raises(EventError):
             sim.run()
 
-    def test_pool_never_grows_beyond_cap(self):
-        from repro.sim import engine as engine_mod
-
-        sim = Simulator()
-        for i in range(engine_mod._POOL_MAX + 500):
-            sim.schedule(i, lambda: None)
-        sim.run()
-        assert sim.pooled_calls <= engine_mod._POOL_MAX
-
     def test_hooks_installed_mid_run_take_guarded_path(self):
         from repro.obs.hooks import SimHooks
 
@@ -423,3 +400,116 @@ class TestHotPathMachinery:
         sim.run()
         assert fired == list(range(5))
         assert hooks.dispatched == 5  # events after install are seen
+
+
+class TestKernelContract:
+    """Stop rules of the one dispatch loop behind step(), run(until),
+    run() and run_until_triggered()."""
+
+    def test_run_until_runs_the_event_at_until_and_keeps_later_ones(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(100, seen.append, "at-until")
+        for tag in ("x", "y", "z"):
+            sim.schedule(150, seen.append, tag)
+        sim.run(until=100)
+        assert seen == ["at-until"]
+        assert sim.now == 100
+        assert len(sim._queue) == 3
+        sim.run()
+        # The entry the loop stopped before keeps its place among
+        # equal-time events.
+        assert seen == ["at-until", "x", "y", "z"]
+        assert sim.now == 150
+
+    def test_step_skips_cancelled_heads_and_runs_one_callback(self):
+        sim = Simulator()
+        seen = []
+        for i in range(3):
+            sim.schedule(i, seen.append, f"dead{i}").cancel()
+        sim.schedule(10, seen.append, "a")
+        sim.schedule(10, seen.append, "b")
+        assert sim.step() is True
+        assert seen == ["a"]
+        assert sim.now == 10
+        assert sim.events_executed == 1
+        assert sim.step() is True
+        assert seen == ["a", "b"]
+        assert sim.step() is False
+
+    def test_step_on_only_cancelled_entries_returns_false(self):
+        sim = Simulator()
+        seen = []
+        for i in range(4):
+            sim.schedule(i, seen.append, i).cancel()
+        assert sim.step() is False
+        assert seen == []
+        assert sim.events_executed == 0
+        assert sim.now == 0
+
+    def test_run_until_triggered_returns_at_once_on_a_triggered_event(self):
+        sim = Simulator()
+        ev = sim.event()
+        ev.succeed("ready")
+        seen = []
+        sim.schedule(5, seen.append, "later")
+        assert sim.run_until_triggered(ev) == "ready"
+        assert seen == []
+        assert sim.events_executed == 0
+
+    def test_run_until_triggered_raises_a_failed_events_exception(self):
+        sim = Simulator()
+        ev = sim.event()
+        sim.schedule(20, ev.fail, ValueError("broken"))
+        sim.schedule(30, lambda: None)
+        with pytest.raises(ValueError, match="broken"):
+            sim.run_until_triggered(ev)
+        assert sim.now == 20
+        assert ev.triggered and not ev.ok
+
+    def test_run_until_triggered_raises_deadlock_when_the_queue_drains(self):
+        sim = Simulator()
+        ev = sim.event(name="never")
+        sim.schedule(5, lambda: None)
+        sim.schedule(7, lambda: None).cancel()
+        with pytest.raises(Deadlock, match="never"):
+            sim.run_until_triggered(ev)
+        assert sim.events_executed == 1
+
+    @staticmethod
+    def _build():
+        sim = Simulator()
+        order = []
+
+        def proc(tag, delay):
+            for i in range(4):
+                yield delay
+                order.append((tag, i, sim.now))
+
+        for tag, delay in (("a", 7), ("b", 11), ("c", 7)):
+            sim.process(proc(tag, delay))
+        sim.schedule(15, order.append, "cancelled").cancel()
+        # The last event of the schedule: run_until_triggered drains
+        # exactly what run() and a step() loop drain.
+        end = sim.timeout(100)
+        return sim, order, end
+
+    def test_events_executed_equal_across_drain_styles(self):
+        results = []
+
+        sim, order, _end = self._build()
+        sim.run()
+        results.append((order, sim.now, sim.events_executed))
+
+        sim, order, _end = self._build()
+        while sim.step():
+            pass
+        results.append((order, sim.now, sim.events_executed))
+
+        sim, order, end = self._build()
+        sim.run_until_triggered(end)
+        assert not sim.step()  # nothing live was left behind
+        results.append((order, sim.now, sim.events_executed))
+
+        assert results[0] == results[1] == results[2]
+        assert results[0][2] == 3 * 5 + 1  # starts, timeouts, the end

@@ -1,5 +1,7 @@
 """Tests for the socket layer: sockbufs, send/recv semantics, spans."""
 
+import random
+
 import pytest
 
 from repro.core.experiment import SERVER_PORT, payload_pattern
@@ -44,6 +46,45 @@ class TestSockBuf:
         sb = SockBuf(pool, hiwat=100)
         with pytest.raises(SockBufError):
             sb.drop(1)
+
+    def test_cc_is_kept_by_append_drop_and_flush(self, pool):
+        """``cc`` is a running byte count (BSD's sb_cc); the chain's
+        own length, summed over its mbufs, is the reference."""
+        rng = random.Random(1994)
+        sb = SockBuf(pool, hiwat=16384)
+        expected = b""
+        for _ in range(500):
+            op = rng.random()
+            if op < 0.45:
+                room = sb.space
+                size = rng.randrange(0, min(room, 6000) + 1)
+                data = payload_pattern(size)[::-1]
+                chain, _ = pool.build_chain(
+                    data, use_clusters=rng.random() < 0.5)
+                sb.append(chain)
+                expected += data
+            elif op < 0.85:
+                size = rng.randrange(0, sb.cc + 1)
+                sb.drop(size)
+                expected = expected[size:]
+            elif op < 0.9:
+                chain, _ = pool.build_chain(
+                    b"x" * (sb.space + 1), use_clusters=True)
+                with pytest.raises(SockBufError):
+                    sb.append(chain)
+                pool.free_chain(chain)
+                with pytest.raises(SockBufError):
+                    sb.drop(sb.cc + 1)
+            else:
+                sb.flush()
+                expected = b""
+            assert sb.cc == sb.chain.length == len(expected)
+            assert sb.space == max(0, sb.hiwat - sb.chain.length)
+            assert sb.empty == (sb.chain.length == 0)
+            assert sb.peek(sb.cc) == expected
+        sb.flush()
+        assert sb.cc == 0
+        assert pool.in_use == 0
 
     def test_mbufs_in_first(self, pool):
         sb = SockBuf(pool, hiwat=2000)
