@@ -220,36 +220,3 @@ def test_engine_trace_identical_to_pure():
 
     assert workload(engine.Simulator) == \
         workload(engine._PurePythonSimulator)
-
-
-# ----------------------------------------------------------------------
-# The compiled core's handle pool (the pure engine never reuses a handle)
-# ----------------------------------------------------------------------
-@requires_native_in_use
-def test_dispatched_handles_are_pooled_and_reused():
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(i, fired.append, i)
-    sim.run()
-    assert fired == list(range(10))
-    assert sim.pooled_calls > 0
-    before = sim.pooled_calls
-    sim.schedule(100, fired.append, 10)
-    assert sim.pooled_calls == before - 1  # reused, not allocated
-    sim.run()
-    assert fired[-1] == 10
-
-
-@requires_native_in_use
-def test_pool_never_grows_beyond_cap():
-    from repro.sim import Simulator
-
-    cap = native_dispatch.lib.POOL_MAX
-    sim = Simulator()
-    for i in range(cap + 500):
-        sim.schedule(i, lambda: None)
-    sim.run()
-    assert sim.pooled_calls <= cap

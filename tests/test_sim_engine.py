@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
+import repro.perf.native as native_dispatch
 from repro.sim import (
     Deadlock,
     Event,
@@ -300,8 +303,37 @@ class TestHotPathMachinery:
     """The perf machinery behind the fast path: heap compaction, the
     inline hooks test and the direct timeout dispatch — all invisible
     to simulation results (see tests/test_perf_equivalence.py for the
-    end-to-end byte-identity proof).  The compiled core's handle pool
-    is tested in tests/test_native_dispatch.py."""
+    end-to-end byte-identity proof).  Only the compiled core pools
+    dispatched handles; the pure engine drops each one once it has run,
+    so the pool tests check that it keeps none."""
+
+    @staticmethod
+    def _live_pure_handles():
+        from repro.sim import engine as engine_mod
+
+        return sum(1 for obj in gc.get_objects()
+                   if type(obj) is engine_mod.ScheduledCall)
+
+    def test_dispatched_handles_are_pooled_and_reused(self):
+        gc.collect()
+        live_before = self._live_pure_handles()
+        sim = Simulator()
+        fired = []
+        for i in range(10):
+            sim.schedule(i, fired.append, i)
+        sim.run()
+        assert fired == list(range(10))
+        if native_dispatch.NATIVE_IN_USE:
+            assert sim.pooled_calls > 0
+            before = sim.pooled_calls
+            sim.schedule(100, fired.append, 10)
+            assert sim.pooled_calls == before - 1  # reused, not allocated
+        else:
+            # Nothing kept for reuse: every spent handle is freed.
+            assert self._live_pure_handles() <= live_before
+            sim.schedule(100, fired.append, 10)
+        sim.run()
+        assert fired[-1] == 10
 
     def test_retained_handle_is_never_recycled(self):
         """A caller keeping the handle (timer-style) must keep a dead
@@ -376,6 +408,25 @@ class TestHotPathMachinery:
         ev.succeed("early")  # user triggers it before the deadline
         with pytest.raises(EventError):
             sim.run()
+
+    def test_pool_never_grows_beyond_cap(self):
+        """At most POOL_MAX spent handles in the compiled core's pool;
+        none at all in the pure engine."""
+        if native_dispatch.NATIVE_IN_USE:
+            cap = native_dispatch.lib.POOL_MAX
+        else:
+            cap = 0
+        gc.collect()
+        live_before = self._live_pure_handles()
+        sim = Simulator()
+        for i in range(cap + 500):
+            sim.schedule(i, lambda: None)
+        sim.run()
+        if native_dispatch.NATIVE_IN_USE:
+            kept = sim.pooled_calls
+        else:
+            kept = self._live_pure_handles() - live_before
+        assert kept <= cap
 
     def test_hooks_installed_mid_run_take_guarded_path(self):
         from repro.obs.hooks import SimHooks
