@@ -20,8 +20,7 @@ from repro.core.testbed import build_atm_pair, build_ethernet_pair
 from repro.kern.config import KernelConfig
 
 __all__ = ["RPCMix", "MixResult", "LRPC_MIX", "NFS_MIX", "BULKY_MIX",
-           "run_mix", "ConnScaleResult", "connection_scale_config",
-           "run_connection_scale"]
+           "run_mix", "ConnScaleResult", "run_connection_scale"]
 
 
 @dataclass(frozen=True)
@@ -158,24 +157,6 @@ class ConnScaleResult:
     sim_duration_us: float
     segments_received: int
     retransmits: int
-    wheel_ticks: int
-
-
-def connection_scale_config(scaled: bool = True) -> KernelConfig:
-    """The two kernel configurations the scale bench compares.
-
-    *scaled* turns on everything §3 suggests for many connections:
-    hash PCB demultiplexing, the tick timer wheel, and batched softnet
-    dispatch.  ``scaled=False`` is the paper-faithful default kernel
-    (list demux, per-callback timers), whose per-connection costs are
-    the point of the comparison.
-    """
-    from repro.kern.config import PcbLookup
-
-    if not scaled:
-        return KernelConfig(timer_wheel=False, softnet_batch=False)
-    return KernelConfig(pcb_lookup=PcbLookup.HASH, timer_wheel=True,
-                        softnet_batch=True)
 
 
 def run_connection_scale(connections: int, rounds: int = 2,
@@ -262,8 +243,6 @@ def run_connection_scale(connections: int, rounds: int = 2,
         tb.client.spawn(client(i), name=f"scale-client-{i}")
     tb.sim.run_until_triggered(all_done)
 
-    wheel_ticks = sum(h.timer_wheel.ticks for h in tb.hosts
-                      if h.timer_wheel is not None)
     return ConnScaleResult(
         connections=connections,
         completed=finished[0],
@@ -275,5 +254,4 @@ def run_connection_scale(connections: int, rounds: int = 2,
         retransmits=sum(c.stats.retransmits
                         for h in tb.hosts
                         for c in h.tcp.connections),
-        wheel_ticks=wheel_ticks,
     )

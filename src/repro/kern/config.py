@@ -1,40 +1,19 @@
 """Kernel build configuration: the variants the paper compares.
 
 Each experiment in the paper boots a differently configured kernel; a
-:class:`KernelConfig` captures one such build.
+:class:`KernelConfig` captures one such build.  Only ``sanitize`` reads
+the environment (``REPRO_SANITIZE``), and it never changes simulated
+behaviour, so ``KernelConfig()`` is the same kernel in every process.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
 
 from repro.mem.sanitize import sanitize_enabled
 
-__all__ = ["ChecksumMode", "PcbLookup", "KernelConfig",
-           "timer_wheel_enabled", "softnet_batch_enabled"]
-
-
-def _env_flag(name: str, default: bool = False) -> bool:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def timer_wheel_enabled(default: bool = False) -> bool:
-    """Whether ``REPRO_TIMER_WHEEL`` asks for the tick-driven TCP timer
-    facility (env opt-in; the paper-faithful per-callback timers stay
-    the default)."""
-    return _env_flag("REPRO_TIMER_WHEEL", default)
-
-
-def softnet_batch_enabled(default: bool = False) -> bool:
-    """Whether ``REPRO_SOFTNET_BATCH`` asks for batched softint dispatch
-    (env opt-in; the per-packet splnet discipline stays the default)."""
-    return _env_flag("REPRO_SOFTNET_BATCH", default)
+__all__ = ["ChecksumMode", "PcbLookup", "KernelConfig"]
 
 
 class ChecksumMode(Enum):
@@ -118,21 +97,6 @@ class KernelConfig:
     #: detection.  Defaults to the ``REPRO_SANITIZE`` environment
     #: opt-in; never changes modelled costs or timing.
     sanitize: bool = field(default_factory=sanitize_enabled)
-    #: Connection-scale TCP timers (repro.tcp.timewheel): BSD-style
-    #: tcp_fasttimo/tcp_slowtimo tick wheel instead of one engine
-    #: callback per armed timer.  Default off (``REPRO_TIMER_WHEEL``
-    #: env opt-in) so the paper's per-timer semantics — and every
-    #: golden — are untouched.  Expiry is quantized to the next tick
-    #: boundary at or after the nominal deadline, never before it.
-    timer_wheel: bool = field(default_factory=timer_wheel_enabled)
-    #: tcp_fasttimo cadence (delayed-ACK flush) when the wheel is on.
-    wheel_fast_tick_us: float = 200_000.0
-    #: tcp_slowtimo cadence (rexmt/persist/2MSL) when the wheel is on.
-    wheel_slow_tick_us: float = 500_000.0
-    #: Batched softint dispatch (real netisr semantics): one dispatch
-    #: charge and one splnet hold per IPQ drain instead of per packet.
-    #: Default off (``REPRO_SOFTNET_BATCH`` env opt-in).
-    softnet_batch: bool = field(default_factory=softnet_batch_enabled)
 
     def with_overrides(self, **kwargs) -> "KernelConfig":
         """A copy with some fields replaced."""

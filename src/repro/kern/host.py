@@ -21,12 +21,11 @@ from repro.net.addresses import HostAddress
 from repro.net.headers import PROTO_TCP
 from repro.sim.clock import ClockCard
 from repro.sim.cpu import CPU, Priority
-from repro.sim.engine import Process, Simulator, us
+from repro.sim.engine import Process, Simulator
 from repro.sim.resources import Semaphore
 from repro.sim.trace import SpanTracer
 from repro.socket.socket import Socket
 from repro.tcp.layer import TCPLayer
-from repro.tcp.timewheel import TimerWheel
 from repro.udp.layer import UDPLayer
 
 __all__ = ["Host"]
@@ -50,17 +49,7 @@ class Host:
         self.pool = MbufPool(self.costs, sanitize=self.config.sanitize)
         self.scheduler = ProcessScheduler(sim, self.cpu, self.costs,
                                           self.tracer)
-        self.softnet = SoftNet(sim, self.cpu, self.costs, self.tracer,
-                               batch=self.config.softnet_batch)
-        #: Tick-driven TCP timer wheel (repro.tcp.timewheel), or None
-        #: on the paper-faithful per-callback timer path (the default).
-        self.timer_wheel = None
-        if self.config.timer_wheel:
-            self.timer_wheel = TimerWheel(
-                sim,
-                us(self.config.wheel_fast_tick_us),
-                us(self.config.wheel_slow_tick_us),
-                phase_ns=self.address.ip)
+        self.softnet = SoftNet(sim, self.cpu, self.costs, self.tracer)
         self.ip = IPLayer(self)
         self.softnet.ip_input = self.ip.input
         self.tcp = TCPLayer(self)

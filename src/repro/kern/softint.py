@@ -3,7 +3,9 @@
 Device receive interrupts do as little as possible: they enqueue the
 reassembled datagram on the IP input queue and post the network software
 interrupt (``schednetisr(NETISR_IP)``).  The softint runs ``ipintr`` at
-a priority below hardware interrupts but above all processes.
+a priority below hardware interrupts but above all processes, and takes
+the host's splnet mutex around each datagram it drains, so a
+process-context protocol section can run between two queued datagrams.
 
 The paper's *IPQ* span is "the time from when the ATM driver places
 received data on the IP queue and signals a software interrupt until the
@@ -31,19 +33,11 @@ class SoftNet:
     IPQ_MAX = 50
 
     def __init__(self, sim: Simulator, cpu: CPU, costs,
-                 tracer: Optional[SpanTracer] = None,
-                 batch: bool = False):
+                 tracer: Optional[SpanTracer] = None):
         self.sim = sim
         self.cpu = cpu
         self.costs = costs
         self.tracer = tracer
-        #: Batched dispatch (KernelConfig.softnet_batch): the softint
-        #: holds splnet once for the whole IPQ drain — BSD's ipintr
-        #: runs the entire queue at splnet — instead of re-acquiring it
-        #: per packet.  Default off; with one datagram per activation
-        #: (every single-connection scenario) the operation sequence is
-        #: identical to the per-packet path.
-        self.batch = batch
         #: Installed by the IP layer: a generator function taking a Packet.
         self.ip_input: Optional[Callable[[Packet], Generator]] = None
         #: Installed by the host: the splnet mutex serializing protocol
@@ -107,38 +101,22 @@ class SoftNet:
                 int(self.costs.softint_dispatch_us * 1000),
                 Priority.SOFT_INTR, "softint-dispatch",
             )
-            if self.batch and self.splnet is not None:
-                # Batched mode: ipintr runs the whole drain at splnet.
-                yield self.splnet.acquire()
-                try:
-                    while self._queue:
-                        packet = self._queue.popleft()
-                        self.dispatched += 1
-                        self._record_ipq_span(packet)
-                        if self.ip_input is None:
-                            raise RuntimeError(
-                                "SoftNet has no ip_input handler")
+            while self._queue:
+                packet = self._queue.popleft()
+                self.dispatched += 1
+                self._record_ipq_span(packet)
+                if self.ip_input is None:
+                    raise RuntimeError("SoftNet has no ip_input handler")
+                if self.splnet is not None:
+                    # Serialize against process-context protocol work
+                    # (BSD's splnet discipline).
+                    yield self.splnet.acquire()
+                    try:
                         yield from self.ip_input(packet)
-                finally:
-                    self.splnet.release()
-            else:
-                while self._queue:
-                    packet = self._queue.popleft()
-                    self.dispatched += 1
-                    self._record_ipq_span(packet)
-                    if self.ip_input is None:
-                        raise RuntimeError(
-                            "SoftNet has no ip_input handler")
-                    if self.splnet is not None:
-                        # Serialize against process-context protocol
-                        # work (BSD's splnet discipline).
-                        yield self.splnet.acquire()
-                        try:
-                            yield from self.ip_input(packet)
-                        finally:
-                            self.splnet.release()
-                    else:
-                        yield from self.ip_input(packet)
+                    finally:
+                        self.splnet.release()
+                else:
+                    yield from self.ip_input(packet)
         finally:
             # Whatever happens while draining (including a datagram so
             # corrupted it cannot be parsed), the softint must not stay

@@ -11,7 +11,9 @@ in ``tests/perf_golden/``):
   over a ``multiprocessing`` spawn pool, shared by the CLI tables and
   the pytest benchmarks;
 * :mod:`repro.perf.bench` — the ``repro bench`` wall-time regression
-  harness and its committed baseline;
+  harness (hot layers, round trips, Table 1, and connection scale on
+  the hash- and list-PCB kernels) and its committed per-path baselines
+  in ``benchmarks/``;
 * :mod:`repro.perf.native` — import-time dispatch to the optional
   compiled hot core (``REPRO_NATIVE=0|1``).
 

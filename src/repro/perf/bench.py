@@ -6,12 +6,14 @@ Measures the hot layers of the reproduction —
 * CPU-model job throughput (with preemption traffic),
 * Internet-checksum bandwidth,
 * mbuf chain build/free churn (exercises the free list),
-* timer re-arm hot paths (faithful cancel+schedule vs the tick
-  wheel) at 1000 connections,
+* PCB demultiplexing, list vs hash, at 1, 20 and 1000 entries,
+* the per-ACK retransmit-timer re-arm (cancel + schedule) with 1000
+  resident connections,
 * full-stack round-trip wall time,
 * cold serial Table 1 regeneration wall time, and
-* connection-scale closed-loop RPC workloads (events/s at 100, 1000
-  and 10000 concurrent connections) —
+* connection-scale closed-loop RPC workloads (events/s on the hash-PCB
+  kernel at 100, 1000 and 10000 concurrent connections, and on the
+  paper's list-PCB kernel at 1000) —
 
 writes ``BENCH_<label>.json`` at the current directory, and compares
 against a committed **per-path** baseline: ``benchmarks/baseline.json``
@@ -35,6 +37,7 @@ import time
 from typing import Dict, List, Optional
 
 import repro.perf.native as _native_dispatch
+from repro.kern.config import KernelConfig, PcbLookup
 from repro.sim.engine import Simulator
 
 __all__ = ["run_benchmarks", "compare_to_baseline", "write_report",
@@ -159,7 +162,6 @@ def bench_pcb_lookup(mode: str, entries: int) -> float:
     §3 Table 4 points (1 / 20 / 1000 entries).
     """
     from repro.hw import decstation_5000_200
-    from repro.kern.config import PcbLookup
     from repro.tcp.pcb import PCB, PCBTable
 
     table = PCBTable(decstation_5000_200(),
@@ -181,18 +183,14 @@ def bench_pcb_lookup(mode: str, entries: int) -> float:
     return rounds / elapsed
 
 
-def bench_timer_rearm(path: str, conns: int = 1000,
-                      ops: int = 200_000) -> float:
+def bench_timer_rearm(conns: int = 1000, ops: int = 200_000) -> float:
     """Re-arms/sec of the per-ACK retransmit-timer pattern with *conns*
     resident connections.
 
     Every ACK pushes the retransmit timer out by a full RTO, so the arm
-    operation (not the expiry) is the hot path.  Two implementations:
-
-    * ``faithful`` — cancel + fresh schedule, the default kernel path
-      (one heap push plus a cancelled tombstone per ACK);
-    * ``wheel``    — :class:`~repro.tcp.timewheel.TimerWheel` arm, a
-      deadline overwrite in a dict (BSD's ``t_timer[]`` store).
+    operation (not the expiry) is the hot path: a cancel plus a fresh
+    schedule, as in ``TCPConnection`` (one heap push and one cancelled
+    tombstone per ACK).
     """
     sim = Simulator()
     delay = 1_500_000_000  # a 1.5 s RTO, always re-armed before expiry
@@ -201,56 +199,35 @@ def bench_timer_rearm(path: str, conns: int = 1000,
         pass
 
     warmup = min(20_000, ops)  # untimed: specialize the hot bytecode
-
-    if path == "wheel":
-        from repro.tcp.timewheel import TimerWheel
-
-        wheel = TimerWheel(sim, fast_interval_ns=200_000_000,
-                           slow_interval_ns=500_000_000)
-        targets = [object() for _ in range(conns)]
-        arm = wheel.arm
-        for i in range(warmup):  # populates the resident set too
-            arm(targets[i % conns], "rexmt", delay)
-        start = time.perf_counter()  # repro: allow(wall-clock)
-        for i in range(ops):
-            arm(targets[i % conns], "rexmt", delay)
-        elapsed = time.perf_counter() - start  # repro: allow(wall-clock)
-        return ops / elapsed
-
     calls = [sim.schedule(delay, noop) for _ in range(conns)]
-    if path == "faithful":
-        schedule = sim.schedule
-        for i in range(warmup):
-            j = i % conns
-            calls[j].cancel()
-            calls[j] = schedule(delay, noop)
-        start = time.perf_counter()  # repro: allow(wall-clock)
-        for i in range(ops):
-            j = i % conns
-            calls[j].cancel()
-            calls[j] = schedule(delay, noop)
-        elapsed = time.perf_counter() - start  # repro: allow(wall-clock)
-    else:
-        raise ValueError(f"unknown timer path {path!r}")
+    schedule = sim.schedule
+    for i in range(warmup):
+        j = i % conns
+        calls[j].cancel()
+        calls[j] = schedule(delay, noop)
+    start = time.perf_counter()  # repro: allow(wall-clock)
+    for i in range(ops):
+        j = i % conns
+        calls[j].cancel()
+        calls[j] = schedule(delay, noop)
+    elapsed = time.perf_counter() - start  # repro: allow(wall-clock)
     return ops / elapsed
 
 
-def bench_conn_scale(connections: int, scaled: bool = True,
+def bench_conn_scale(connections: int, pcb_lookup: PcbLookup,
                      rounds: int = 2) -> float:
     """Simulated events dispatched per wall second for an
-    N-connection closed-loop RPC workload.
+    N-connection closed-loop RPC workload on the kernel with
+    *pcb_lookup* demultiplexing.
 
     The workload (``repro.core.workloads.run_connection_scale``) ramps
     every connection up, holds all N open, then runs the RPC rounds
     through a bounded window — so the number measures per-connection
     kernel costs against full PCB tables, not queue-overflow recovery.
     """
-    from repro.core.workloads import (
-        connection_scale_config,
-        run_connection_scale,
-    )
+    from repro.core.workloads import run_connection_scale
 
-    config = connection_scale_config(scaled=scaled)
+    config = KernelConfig(pcb_lookup=pcb_lookup)
     start = time.perf_counter()  # repro: allow(wall-clock)
     result = run_connection_scale(connections, rounds=rounds,
                                   config=config)
@@ -313,22 +290,23 @@ def run_benchmarks(quick: bool = False) -> Dict[str, float]:
         for entries in (1, 20, 1000):
             metrics[f"pcb_lookup_{mode}_{entries}_per_sec"] = \
                 bench_pcb_lookup(mode, entries)
-    # Timer re-arm hot paths, 1000 resident connections.
-    for path in ("faithful", "wheel"):
-        metrics[f"timer_rearm_{path}_per_sec"] = \
-            bench_timer_rearm(path, ops=200_000 // scale)
-    # Connection-scale closed-loop workloads: the scaled kernel at the
-    # three §3 population sizes, plus the paper-faithful kernel at 1000
-    # (the events/s denominator for the wheel's speedup claim).
-    metrics["conn_scale_100_events_per_sec"] = bench_conn_scale(100)
-    metrics["conn_scale_1000_events_per_sec"] = bench_conn_scale(1000)
+    # Retransmit-timer re-arm hot path, 1000 resident connections.
+    metrics["timer_rearm_faithful_per_sec"] = \
+        bench_timer_rearm(ops=200_000 // scale)
+    # Connection-scale closed-loop workloads: the hash-PCB kernel §3
+    # suggests at the three population sizes, plus the paper's list-PCB
+    # kernel at 1000.
+    metrics["conn_scale_100_events_per_sec"] = \
+        bench_conn_scale(100, PcbLookup.HASH)
+    metrics["conn_scale_1000_events_per_sec"] = \
+        bench_conn_scale(1000, PcbLookup.HASH)
     metrics["conn_scale_1000_faithful_events_per_sec"] = \
-        bench_conn_scale(1000, scaled=False)
+        bench_conn_scale(1000, PcbLookup.LIST)
     if not quick:
-        # ~1.9M simulated events; full runs only (minutes on the pure
+        # ~1.7M simulated events; full runs only (minutes on the pure
         # interpreter).
         metrics["conn_scale_10000_events_per_sec"] = \
-            bench_conn_scale(10_000, rounds=1)
+            bench_conn_scale(10_000, PcbLookup.HASH, rounds=1)
     return metrics
 
 

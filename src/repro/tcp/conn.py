@@ -123,10 +123,6 @@ class TCPConnection:
         self._delack_timer = None
         self._time_wait_timer = None
         self._persist_timer = None
-        #: Tick-driven timer wheel (repro.tcp.timewheel) or None; when
-        #: set, the _*_timer handles above stay None and timers live as
-        #: per-slot deadlines on the wheel instead of engine callbacks.
-        self._wheel = host.timer_wheel
         self._in_sendalot = False
         self._grant_no_checksum = False
         self.t_force = False
@@ -285,7 +281,7 @@ class TCPConnection:
         if (sent == 0 and self.snd_wnd == 0
                 and self.socket.so_snd.cc > 0
                 and self.state.can_send_data
-                and not self._rtx_armed()):
+                and self._rtx_timer is None):
             self._start_persist_timer()
         return sent
 
@@ -977,11 +973,8 @@ class TCPConnection:
         self._flow_sample("time-wait")
         self._cancel_rtx_timer()
         msl_ns = us(self._config.rtx_timeout_us)  # 2MSL ~ 2 * RTO here
-        if self._wheel is not None:
-            self._wheel.arm(self, "2msl", 2 * msl_ns)
-        else:
-            self._time_wait_timer = self.host.sim.schedule(
-                2 * msl_ns, self._close_now)
+        self._time_wait_timer = self.host.sim.schedule(
+            2 * msl_ns, self._close_now)
 
     def _close_now(self) -> None:
         self.state = TCPState.CLOSED
@@ -992,8 +985,6 @@ class TCPConnection:
         if self._time_wait_timer is not None:
             self._time_wait_timer.cancel()
             self._time_wait_timer = None
-        if self._wheel is not None:
-            self._wheel.detach(self)
         self.host.tcp.connection_closed(self)
 
     def _drop_connection(self, error: TCPError) -> None:
@@ -1013,51 +1004,25 @@ class TCPConnection:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    # Each timer has two backends behind the same start/cancel surface:
-    # the paper-faithful default schedules one engine callback per armed
-    # timer; with KernelConfig.timer_wheel the deadline is an int store
-    # on the host's tick wheel (repro.tcp.timewheel), quantized to the
-    # next tick boundary at or after the nominal expiry — never before
-    # it, so a timer the callback path would not have fired cannot fire
-    # on the wheel either.
-    def _rtx_armed(self) -> bool:
-        if self._wheel is not None:
-            return self._wheel.armed(self, "rexmt")
-        return self._rtx_timer is not None
-
-    def _rtx_delay_ns(self) -> int:
-        delay = us(self.rto_us) << min(self._rtx_shift, 6)
-        return min(delay, us(self._config.max_rto_us))
-
+    # Each armed timer is one engine callback, held in its _*_timer
+    # handle until it fires or is cancelled.  Re-arming the retransmit
+    # timer on an ACK is a cancel plus a fresh schedule; the goldens pin
+    # that event order.
     def _start_rtx_timer(self) -> None:
-        if self._rtx_armed():
+        if self._rtx_timer is not None:
             return
         self._cancel_persist_timer()
-        delay = self._rtx_delay_ns()
-        if self._wheel is not None:
-            self._wheel.arm(self, "rexmt", delay)
-        else:
-            self._rtx_timer = self.host.sim.schedule(delay, self._rtx_fire)
+        delay = us(self.rto_us) << min(self._rtx_shift, 6)
+        delay = min(delay, us(self._config.max_rto_us))
+        self._rtx_timer = self.host.sim.schedule(delay, self._rtx_fire)
 
     def _cancel_rtx_timer(self) -> None:
-        if self._wheel is not None:
-            self._wheel.cancel(self, "rexmt")
-            return
         if self._rtx_timer is not None:
             self._rtx_timer.cancel()
             self._rtx_timer = None
 
     def _manage_rtx_after_ack(self) -> None:
         self._rtx_shift = 0
-        if self._wheel is not None:
-            # The per-ACK hot path the wheel exists for: overwrite (or
-            # drop) the deadline in place instead of heap churn.
-            if self.snd_una != self.snd_max:
-                self._cancel_persist_timer()
-                self._wheel.arm(self, "rexmt", self._rtx_delay_ns())
-            else:
-                self._wheel.cancel(self, "rexmt")
-            return
         self._cancel_rtx_timer()
         if self.snd_una != self.snd_max:
             self._start_rtx_timer()
@@ -1133,18 +1098,6 @@ class TCPConnection:
             sanitizer.record_timer_violation(
                 f"{name} timer fired on closed connection {self!r}")
 
-    def _wheel_expired(self, slot: str) -> None:
-        """Tick-wheel expiry dispatch: same handlers as the per-callback
-        path (the wheel already cleared the deadline)."""
-        if slot == "rexmt":
-            self._rtx_fire()
-        elif slot == "persist":
-            self._persist_fire()
-        elif slot == "delack":
-            self._delack_fire()
-        else:  # "2msl"
-            self._close_now()
-
     def _rtx_fire(self) -> None:
         self._rtx_timer = None
         self._sanitize_timer_fire("rexmt")
@@ -1207,20 +1160,12 @@ class TCPConnection:
         self._start_rtx_timer()
 
     def _start_persist_timer(self) -> None:
-        if self._wheel is not None:
-            if not self._wheel.armed(self, "persist"):
-                self._wheel.arm(self, "persist",
-                                us(self._config.persist_timeout_us))
-            return
         if self._persist_timer is not None:
             return
         self._persist_timer = self.host.sim.schedule(
             us(self._config.persist_timeout_us), self._persist_fire)
 
     def _cancel_persist_timer(self) -> None:
-        if self._wheel is not None:
-            self._wheel.cancel(self, "persist")
-            return
         if self._persist_timer is not None:
             self._persist_timer.cancel()
             self._persist_timer = None
@@ -1261,20 +1206,12 @@ class TCPConnection:
             self.end_output_call()
 
     def _start_delack_timer(self) -> None:
-        if self._wheel is not None:
-            if not self._wheel.armed(self, "delack"):
-                self._wheel.arm(self, "delack",
-                                us(self._config.delack_timeout_us))
-            return
         if self._delack_timer is not None:
             return
         self._delack_timer = self.host.sim.schedule(
             us(self._config.delack_timeout_us), self._delack_fire)
 
     def _cancel_delack_timer(self) -> None:
-        if self._wheel is not None:
-            self._wheel.cancel(self, "delack")
-            return
         if self._delack_timer is not None:
             self._delack_timer.cancel()
             self._delack_timer = None

@@ -16,7 +16,7 @@ from repro.net.packet import Packet, verify_tcp_checksum
 from repro.sim.cpu import Priority
 from repro.sim.engine import us
 from repro.tcp.conn import TCPConnection
-from repro.tcp.pcb import PCB, PCBTable
+from repro.tcp.pcb import PCB, PCBError, PCBTable
 from repro.tcp.states import TCPState
 
 __all__ = ["TCPLayer", "TCPLayerStats"]
@@ -108,8 +108,10 @@ class TCPLayer:
         self._connections.pop(conn, None)
         try:
             self.pcbs.remove(conn.pcb)
-        except Exception:
-            pass  # already removed (e.g. listener teardown)
+        except PCBError:
+            # Already removed: closing a socket whose connect was
+            # refused or reset runs _close_now a second time.
+            pass
 
     # ------------------------------------------------------------------
     # Input path

@@ -7,8 +7,6 @@ its output() comment), not by a lucky reverse-path segment.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.chaos import (
     ImpairmentConfig,
     Impairments,
@@ -23,45 +21,30 @@ from repro.kern.config import KernelConfig
 from repro.sim.engine import us
 
 
-def _config(timer_wheel: bool) -> KernelConfig:
-    return replace(KernelConfig(), timer_wheel=timer_wheel)
-
-
-@pytest.mark.parametrize("timer_wheel", [False, True],
-                         ids=["callback-timers", "timer-wheel"])
 class TestChaosCell:
-    """Every cell runs on both timer paths: the wheel quantizes rexmt
-    and delack firing, so loss recovery must be proven there too, not
-    just clean-path equivalence."""
-
-    def test_clean_cell_is_green(self, timer_wheel):
-        cell = run_chaos_cell(size=1400, loss=0.0, iterations=4,
-                              config=_config(timer_wheel))
+    def test_clean_cell_is_green(self):
+        cell = run_chaos_cell(size=1400, loss=0.0, iterations=4)
         assert cell.ok, cell.violations
         assert cell.completed == 4
         assert cell.goodput_mbps > 0
         assert cell.retransmits >= 0
 
-    def test_lossy_cell_recovers(self, timer_wheel):
+    def test_lossy_cell_recovers(self):
         cell = run_chaos_cell(size=8000, loss=0.02, seed=1994,
-                              iterations=12, warmup=2,
-                              config=_config(timer_wheel))
+                              iterations=12, warmup=2)
         assert cell.injected["drops"] > 0
         assert cell.retransmits > 0
         assert cell.ok, cell.violations
 
-    def test_ethernet_path(self, timer_wheel):
+    def test_ethernet_path(self):
         cell = run_chaos_cell(size=1400, loss=0.02, seed=8,
-                              network="ethernet", iterations=8,
-                              config=_config(timer_wheel))
+                              network="ethernet", iterations=8)
         assert cell.ok, cell.violations
 
-    def test_loss_degrades_goodput(self, timer_wheel):
-        clean = run_chaos_cell(size=8000, loss=0.0, iterations=8,
-                               config=_config(timer_wheel))
+    def test_loss_degrades_goodput(self):
+        clean = run_chaos_cell(size=8000, loss=0.0, iterations=8)
         lossy = run_chaos_cell(size=8000, loss=0.05, seed=1994,
-                               iterations=8,
-                               config=_config(timer_wheel))
+                               iterations=8)
         assert clean.ok and lossy.ok
         if lossy.injected["drops"]:
             assert lossy.goodput_mbps < clean.goodput_mbps
@@ -69,11 +52,10 @@ class TestChaosCell:
 
 
 class TestZeroWindowPersistRegression:
-    def _run(self, drop_updates: int, timer_wheel: bool = False):
+    def _run(self, drop_updates: int):
         """One-way transfer into a slow reader whose window-reopening
         ACK is deterministically dropped *drop_updates* times."""
-        config = replace(KernelConfig(), recvspace=2048,
-                         sendspace=8192, timer_wheel=timer_wheel)
+        config = replace(KernelConfig(), recvspace=2048, sendspace=8192)
         impairments = Impairments(ImpairmentConfig(
             seed=7, drop_window_updates=drop_updates))
         testbed = build_atm_pair(config=config, impairments=impairments)
@@ -82,10 +64,9 @@ class TestZeroWindowPersistRegression:
 
         def server(listener):
             child = yield from listener.accept()
-            # Sleep past the delayed-ACK timer so the full buffer is
-            # advertised as a real zero window before the app drains it
-            # (500 ms covers the wheel path too, whose tick quantizes
-            # the 200 ms delack out to at most 400 ms).
+            # Sleep well past the 200 ms delayed-ACK timer so the full
+            # buffer is advertised as a real zero window before the app
+            # drains it.
             yield testbed.sim.timeout(us(500_000))
             data = yield from child.recv(size, exact=True)
             received.append(data)
@@ -105,18 +86,14 @@ class TestZeroWindowPersistRegression:
         conn = testbed.client.tcp.connections[0]
         return received, conn, impairments
 
-    @pytest.mark.parametrize("timer_wheel", [False, True])
-    def test_zero_window_advertised_and_reopened(self, timer_wheel):
-        received, conn, impairments = self._run(drop_updates=0,
-                                                timer_wheel=timer_wheel)
+    def test_zero_window_advertised_and_reopened(self):
+        received, conn, impairments = self._run(drop_updates=0)
         assert received and received[0] == payload_pattern(6000)
         assert impairments.stats.window_update_drops == 0
         assert conn.stats.persist_probes == 0
 
-    @pytest.mark.parametrize("timer_wheel", [False, True])
-    def test_lost_window_update_does_not_deadlock(self, timer_wheel):
-        received, conn, impairments = self._run(drop_updates=1,
-                                                timer_wheel=timer_wheel)
+    def test_lost_window_update_does_not_deadlock(self):
+        received, conn, impairments = self._run(drop_updates=1)
         # The update was really dropped, the transfer still completed,
         # and it was the persist timer that probed the window open.
         assert impairments.stats.window_update_drops == 1
@@ -142,13 +119,10 @@ class TestSweepAndRacecheck:
         assert "BAD" in table
         assert "violations:" in table
 
-    @pytest.mark.parametrize("timer_wheel", [False, True],
-                             ids=["callback-timers", "timer-wheel"])
-    def test_impaired_run_is_racecheck_clean(self, timer_wheel):
+    def test_impaired_run_is_racecheck_clean(self):
         # seed 3 @ 8% drops packets within 4 iterations, so the check
         # really covers the recovery path, not a clean run.
         report = racecheck_chaos(size=1400, loss=0.08, seed=3,
-                                 iterations=4,
-                                 config=_config(timer_wheel))
+                                 iterations=4)
         assert report.ok, report.format()
         assert report.baseline.counters.get("chaos.drops", 0) > 0

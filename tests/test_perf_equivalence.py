@@ -32,12 +32,6 @@ def load(case):
               encoding="utf-8") as fh:
         doc = json.load(fh)
     config = KernelConfig(**doc["config"]) if doc["config"] else KernelConfig()
-    # The fixtures pin the seed's paper-faithful timeline: the
-    # connection-scale paths (timer wheel, batched softnet) legitimately
-    # move timer-driven events, so they are forced off here even when
-    # the environment opts in (their own equivalence lives in
-    # tests/test_scale_equivalence.py).
-    config = config.with_overrides(timer_wheel=False, softnet_batch=False)
     return doc, config
 
 

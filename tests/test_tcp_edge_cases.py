@@ -5,6 +5,7 @@ import pytest
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
 from repro.socket.socket import SocketError
+from repro.tcp.conn import ConnectionReset
 from repro.tcp.states import TCPState
 
 
@@ -74,6 +75,25 @@ class TestConnectionRefused:
         # The client's RST-triggered teardown sent nothing back that
         # drew another RST.
         assert tb.client.tcp.stats.no_pcb_drops <= 1
+
+    def test_close_after_refused_connect(self):
+        """The RST already tore the connection down and removed its PCB;
+        close() runs the teardown a second time, which must return and
+        leave only the daemon PCBs in the table."""
+        tb = build_atm_pair()
+
+        def client():
+            sock = tb.client.socket()
+            with pytest.raises(ConnectionReset):
+                yield from sock.connect(tb.server.address.ip, 4444)
+            yield from sock.close()
+            return sock
+
+        done = tb.client.spawn(client())
+        sock = tb.sim.run_until_triggered(done)
+        assert sock.conn.state is TCPState.CLOSED
+        assert len(tb.client.tcp.pcbs) == tb.client.config.daemon_pcbs
+        assert tb.client.tcp.connections == []
 
 
 class TestHalfClose:

@@ -1,7 +1,5 @@
 """Detailed timer and negotiation behaviour tests."""
 
-import pytest
-
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
 from repro.kern.config import KernelConfig
@@ -38,14 +36,11 @@ def echo_pair(tb, size, rounds=1, post_run_ns=0):
 
 
 class TestDelackTimer:
-    @pytest.mark.parametrize("timer_wheel", [False, True])
-    def test_final_reply_acked_by_delack_timer(self, timer_wheel):
+    def test_final_reply_acked_by_delack_timer(self):
         """The last reply in an exchange has no piggyback opportunity;
-        the 200 ms fast-timer ACK covers it — whether that timer is a
-        per-connection callback or a fast-tick wheel slot (whose
-        quantization delays it to at most 400 ms, inside the grace
-        period)."""
-        tb = build_atm_pair(config=KernelConfig(timer_wheel=timer_wheel))
+        the 200 ms delayed-ACK timer covers it, well inside the 400 ms
+        grace period."""
+        tb = build_atm_pair()
         csock, ssock = echo_pair(tb, 500, rounds=2,
                                  post_run_ns=400_000_000)
         # After the grace period, everything the server sent is acked.
@@ -60,9 +55,8 @@ class TestDelackTimer:
 
 
 class TestTimeWait:
-    @pytest.mark.parametrize("timer_wheel", [False, True])
-    def test_time_wait_expires_to_closed(self, timer_wheel):
-        tb = build_atm_pair(config=KernelConfig(timer_wheel=timer_wheel))
+    def test_time_wait_expires_to_closed(self):
+        tb = build_atm_pair()
         listener = tb.server.socket()
         listener.listen(SERVER_PORT)
 
