@@ -901,6 +901,11 @@ def cmd_bench(args) -> int:
             print(f"bench: unknown argument {arg}")
             return 2
     if both:
+        if out is not None:
+            # Both children would write the same file; each path
+            # already writes its own BENCH_<label>.json.
+            print("bench: --out cannot be combined with --both")
+            return 2
         return _bench_both(passthrough)
     if baseline is None:
         baseline = _default_baseline_path()

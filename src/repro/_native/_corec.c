@@ -1,22 +1,22 @@
 /* Compiled hot core for the repro simulator.
  *
- * Four measured hot spots, each a byte-identical drop-in for its pure
- * Python counterpart (goldens in tests/perf_golden/ gate equivalence):
+ * Three measured hot spots, each a byte-identical drop-in for its pure
+ * Python counterpart (goldens in tests/perf_golden/ gate equivalence).
+ * Each one moves an end-to-end perfbench number; twins that did not
+ * were deleted (EXPERIMENTS.md, "Compiled-core audit"):
  *
  *   1. the event-loop heap scheduling core (repro.sim.engine)
  *   2. the RFC 1071 Internet checksum (repro.checksum.internet)
- *   3. CRC-10/CRC-32 + AAL3/4 segmentation (repro.checksum.crc,
- *      repro.atm.aal)
- *   4. mbuf chain copy/slice/span paths (repro.mem.mbuf)
+ *   3. mbuf chain copy/slice/span paths (repro.mem.mbuf)
  *
  * The module is import-selected once by repro.perf.native (honouring
  * REPRO_NATIVE=0|1); nothing else may import repro._native directly —
  * `repro lint` enforces the layering rule.
  *
  * Exception classes and sentinels are *installed* from Python at import
- * time (engine_install / mbuf_install / aal_install) so every error
- * raised here is the exact class — and carries the exact message — the
- * pure implementation raises.
+ * time (engine_install / mbuf_install) so every error raised here is
+ * the exact class — and carries the exact message — the pure
+ * implementation raises.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -32,38 +32,32 @@
         Py_XDECREF(_tmp);                       \
     } while (0)
 
-/* Compaction constants; must match repro.sim.engine.  POOL_MAX caps
- * the core's own handle free list (the pure engine has none). */
-#define POOL_MAX 1024
+/* Compaction constants; must match repro.sim.engine. */
 #define COMPACT_MASK 0xFFF
 #define COMPACT_MIN 64
 
 /* ---------------------------------------------------------------- */
-/* Installed Python objects (engine_install / mbuf_install /        */
-/* aal_install fill these in at import time).                       */
+/* Installed Python objects (engine_install / mbuf_install fill     */
+/* these in at import time).                                        */
 /* ---------------------------------------------------------------- */
 
 static PyObject *g_pending;           /* Event._PENDING sentinel */
 static PyObject *g_scheduling_error;  /* repro.sim.errors.SchedulingError */
 static PyObject *g_deadlock;          /* repro.sim.errors.Deadlock */
-static PyObject *g_noop;              /* repro.sim.engine._noop */
 static PyObject *g_mbuf_error;        /* repro.mem.mbuf.MbufError */
-static PyObject *g_reassembly_error;  /* repro.atm.aal.ReassemblyError */
-static PyObject *g_cell_cls;          /* repro.atm.aal.Cell */
 
 static PyObject *g_empty_tuple;
 static PyObject *g_zero;
 
 /* Interned attribute/method names. */
 static PyObject *s_on_schedule, *s_on_dispatch, *s_value, *s_exc,
-    *s_freed, *s_cluster, *s_underdata, *s_data, *s_payload, *s_crc,
-    *s_index, *s_last, *s_cancelled;
+    *s_freed, *s_cluster, *s_underdata, *s_data, *s_cancelled;
 
 static int
 ensure_engine_installed(void)
 {
     if (g_pending == NULL || g_scheduling_error == NULL ||
-        g_deadlock == NULL || g_noop == NULL) {
+        g_deadlock == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
                         "engine_install() has not been called");
         return -1;
@@ -78,7 +72,6 @@ ensure_engine_installed(void)
 typedef struct {
     PyObject_HEAD
     long long time;       /* dispatch time, ns (the tuple's slot 0) */
-    long long seq;        /* insertion sequence number */
     long long key_ll;     /* tie-break key when it fits in 64 bits */
     int key_fits;         /* key_ll is valid */
     char cancelled;
@@ -120,13 +113,11 @@ Call_clear(CallObject *self)
 static PyObject *
 Call_cancel(CallObject *self, PyObject *Py_UNUSED(ignored))
 {
-    if (ensure_engine_installed() < 0)
-        return NULL;
     self->cancelled = 1;
     /* Drop references eagerly so cancelled chains do not pin memory
      * (mirrors ScheduledCall.cancel). */
-    Py_INCREF(g_noop);
-    REPRO_SETREF(self->fn, g_noop);
+    Py_INCREF(Py_None);
+    REPRO_SETREF(self->fn, Py_None);
     Py_INCREF(g_empty_tuple);
     REPRO_SETREF(self->args, g_empty_tuple);
     Py_RETURN_NONE;
@@ -138,39 +129,6 @@ Call_get_time(CallObject *self, void *closure)
     return PyLong_FromLongLong(self->time);
 }
 
-static PyObject *
-Call_get_seq(CallObject *self, void *closure)
-{
-    return PyLong_FromLongLong(self->seq);
-}
-
-static PyObject *
-Call_get_key(CallObject *self, void *closure)
-{
-    Py_INCREF(self->key);
-    return self->key;
-}
-
-static PyObject *
-Call_richcompare(PyObject *v, PyObject *w, int op)
-{
-    if (op != Py_LT || Py_TYPE(v) != &CallType || Py_TYPE(w) != &CallType) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    CallObject *a = (CallObject *)v, *b = (CallObject *)w;
-    if (a->time != b->time) {
-        if (a->time < b->time)
-            Py_RETURN_TRUE;
-        Py_RETURN_FALSE;
-    }
-    if (a->key_fits && b->key_fits) {
-        if (a->key_ll < b->key_ll)
-            Py_RETURN_TRUE;
-        Py_RETURN_FALSE;
-    }
-    return PyObject_RichCompare(a->key, b->key, Py_LT);
-}
-
 static PyMethodDef Call_methods[] = {
     {"cancel", (PyCFunction)Call_cancel, METH_NOARGS,
      "Prevent the callback from running.  Idempotent."},
@@ -179,16 +137,14 @@ static PyMethodDef Call_methods[] = {
 
 static PyGetSetDef Call_getset[] = {
     {"time", (getter)Call_get_time, NULL, "dispatch time (ns)", NULL},
-    {"seq", (getter)Call_get_seq, NULL, "insertion sequence number", NULL},
-    {"key", (getter)Call_get_key, NULL, "same-timestamp sort key", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
 static PyMemberDef Call_members[] = {
     {"fn", T_OBJECT_EX, offsetof(CallObject, fn), 0, "callback"},
     {"args", T_OBJECT_EX, offsetof(CallObject, args), 0, "callback args"},
-    {"cancelled", T_BOOL, offsetof(CallObject, cancelled), 0,
-     "lazily-cancelled flag"},
+    {"cancelled", T_BOOL, offsetof(CallObject, cancelled), READONLY,
+     "whether cancel() has been called"},
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -201,7 +157,6 @@ static PyTypeObject CallType = {
     .tp_doc = "Compiled handle for a callback in the event queue.",
     .tp_traverse = (traverseproc)Call_traverse,
     .tp_clear = (inquiry)Call_clear,
-    .tp_richcompare = Call_richcompare,
     .tp_methods = Call_methods,
     .tp_getset = Call_getset,
     .tp_members = Call_members,
@@ -354,7 +309,7 @@ heap_heapify(PyObject *heap)
 }
 
 /* ---------------------------------------------------------------- */
-/* EngineCore: the simulator's clock, heap, pool and dispatch loops  */
+/* EngineCore: the simulator's clock, heap and dispatch loops       */
 /* ---------------------------------------------------------------- */
 
 typedef struct {
@@ -363,7 +318,6 @@ typedef struct {
     long long seq_next;
     long long events_executed;
     PyObject *queue;   /* list of (time, key, call) tuples */
-    PyObject *pool;    /* free list of CallObject */
     PyObject *keyfn;   /* tie-break key function or None */
     PyObject *hooks;   /* SimHooks instance or None */
 } CoreObject;
@@ -381,12 +335,10 @@ Core_init(CoreObject *self, PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O", kwlist, &keyfn))
         return -1;
     Py_XDECREF(self->queue);
-    Py_XDECREF(self->pool);
     Py_XDECREF(self->keyfn);
     Py_XDECREF(self->hooks);
     self->queue = PyList_New(0);
-    self->pool = PyList_New(0);
-    if (self->queue == NULL || self->pool == NULL)
+    if (self->queue == NULL)
         return -1;
     Py_INCREF(keyfn);
     self->keyfn = keyfn;
@@ -403,7 +355,6 @@ Core_dealloc(CoreObject *self)
 {
     PyObject_GC_UnTrack(self);
     Py_XDECREF(self->queue);
-    Py_XDECREF(self->pool);
     Py_XDECREF(self->keyfn);
     Py_XDECREF(self->hooks);
     Py_TYPE(self)->tp_free((PyObject *)self);
@@ -413,7 +364,6 @@ static int
 Core_traverse(CoreObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->queue);
-    Py_VISIT(self->pool);
     Py_VISIT(self->keyfn);
     Py_VISIT(self->hooks);
     return 0;
@@ -423,27 +373,8 @@ static int
 Core_clear_gc(CoreObject *self)
 {
     Py_CLEAR(self->queue);
-    Py_CLEAR(self->pool);
     Py_CLEAR(self->keyfn);
     Py_CLEAR(self->hooks);
-    return 0;
-}
-
-/* Recycle a dispatched/cancelled handle when the dispatch loop holds
- * the *sole* remaining reference, so a caller that kept the handle (a
- * TCP timer, a CPU completion) never sees it reused. */
-static int
-core_maybe_pool(CoreObject *self, CallObject *call)
-{
-    if (Py_REFCNT(call) == 1 &&
-        PyList_GET_SIZE(self->pool) < POOL_MAX) {
-        Py_INCREF(g_noop);
-        REPRO_SETREF(call->fn, g_noop);
-        Py_INCREF(g_empty_tuple);
-        REPRO_SETREF(call->args, g_empty_tuple);
-        if (PyList_Append(self->pool, (PyObject *)call) < 0)
-            return -1;
-    }
     return 0;
 }
 
@@ -533,7 +464,7 @@ Core_schedule(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     int key_fits, overflow;
     PyObject *key_obj, *cargs, *time_obj, *entry;
     CallObject *call;
-    Py_ssize_t i, psize;
+    Py_ssize_t i;
 
     if (nargs < 2) {
         PyErr_SetString(PyExc_TypeError,
@@ -609,31 +540,8 @@ Core_schedule(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 
     time_ll = self->now + delay_ll;
 
-    psize = PyList_GET_SIZE(self->pool);
-    if (psize > 0) {
-        call = (CallObject *)PyList_GET_ITEM(self->pool, psize - 1);
-        Py_INCREF(call);
-        if (PyList_SetSlice(self->pool, psize - 1, psize, NULL) < 0) {
-            Py_DECREF(call);
-            Py_DECREF(key_obj);
-            return NULL;
-        }
-    }
-    else {
-        call = PyObject_GC_New(CallObject, &CallType);
-        if (call == NULL) {
-            Py_DECREF(key_obj);
-            return NULL;
-        }
-        call->key = NULL;
-        call->fn = NULL;
-        call->args = NULL;
-        PyObject_GC_Track((PyObject *)call);
-    }
-
     cargs = PyTuple_New(nargs - 2);
     if (cargs == NULL) {
-        Py_DECREF(call);
         Py_DECREF(key_obj);
         return NULL;
     }
@@ -641,19 +549,21 @@ Core_schedule(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_INCREF(args[i]);
         PyTuple_SET_ITEM(cargs, i - 2, args[i]);
     }
-
+    call = PyObject_GC_New(CallObject, &CallType);
+    if (call == NULL) {
+        Py_DECREF(cargs);
+        Py_DECREF(key_obj);
+        return NULL;
+    }
     call->time = time_ll;
-    call->seq = seq;
     call->key_ll = key_ll;
     call->key_fits = key_fits;
     call->cancelled = 0;
-    Py_XDECREF(call->key);
     call->key = key_obj;                 /* steals */
     Py_INCREF(args[1]);
-    Py_XDECREF(call->fn);
     call->fn = args[1];
-    Py_XDECREF(call->args);
     call->args = cargs;                  /* steals */
+    PyObject_GC_Track((PyObject *)call);
 
     time_obj = PyLong_FromLongLong(time_ll);
     if (time_obj == NULL) {
@@ -762,10 +672,6 @@ core_step_internal(CoreObject *self)
         time = call->time;
         Py_DECREF(entry);
         if (call->cancelled) {
-            if (core_maybe_pool(self, call) < 0) {
-                Py_DECREF(call);
-                return -1;
-            }
             Py_DECREF(call);
             continue;
         }
@@ -793,10 +699,6 @@ core_step_internal(CoreObject *self)
                 return -1;
             }
             Py_DECREF(res);
-        }
-        if (core_maybe_pool(self, call) < 0) {
-            Py_DECREF(call);
-            return -1;
         }
         Py_DECREF(call);
         return 1;
@@ -871,8 +773,6 @@ Core_run_until(CoreObject *self, PyObject *until)
                 return NULL;
             }
             Py_DECREF(popped);
-            /* No pooling here: the live `entry` reference means the
-             * loop never holds the sole reference. */
             Py_DECREF(call);
             Py_DECREF(entry);
             continue;
@@ -956,19 +856,7 @@ Core_run_all(CoreObject *self, PyObject *Py_UNUSED(ignored))
             Py_INCREF(call);
             time = call->time;
             Py_DECREF(entry);
-            if (call->cancelled) {
-                if (core_maybe_pool(self, call) < 0) {
-                    Py_DECREF(call);
-                    return NULL;
-                }
-                Py_DECREF(call);
-                continue;
-            }
-            if (core_dispatch(self, call, time) < 0) {
-                Py_DECREF(call);
-                return NULL;
-            }
-            if (core_maybe_pool(self, call) < 0) {
+            if (!call->cancelled && core_dispatch(self, call, time) < 0) {
                 Py_DECREF(call);
                 return NULL;
             }
@@ -1033,17 +921,9 @@ Core_run_until_triggered(CoreObject *self, PyObject *event)
                 Py_DECREF(entry);
                 if (!call->cancelled)
                     break;
-                if (core_maybe_pool(self, call) < 0) {
-                    Py_DECREF(call);
-                    return NULL;
-                }
                 Py_DECREF(call);
             }
             if (core_dispatch(self, call, time) < 0) {
-                Py_DECREF(call);
-                return NULL;
-            }
-            if (core_maybe_pool(self, call) < 0) {
                 Py_DECREF(call);
                 return NULL;
             }
@@ -1074,23 +954,10 @@ Core_get_events_executed(CoreObject *self, void *closure)
 }
 
 static PyObject *
-Core_get_pooled_calls(CoreObject *self, void *closure)
-{
-    return PyLong_FromSsize_t(PyList_GET_SIZE(self->pool));
-}
-
-static PyObject *
 Core_get_queue(CoreObject *self, void *closure)
 {
     Py_INCREF(self->queue);
     return self->queue;
-}
-
-static PyObject *
-Core_get_pool(CoreObject *self, void *closure)
-{
-    Py_INCREF(self->pool);
-    return self->pool;
 }
 
 static PyObject *
@@ -1133,12 +1000,8 @@ static PyGetSetDef Core_getset[] = {
      "current simulated time (ns)", NULL},
     {"events_executed", (getter)Core_get_events_executed, NULL,
      "callbacks executed so far", NULL},
-    {"pooled_calls", (getter)Core_get_pooled_calls, NULL,
-     "ScheduledCall handles on the free list", NULL},
     {"queue", (getter)Core_get_queue, NULL,
      "the (time, key, call) heap list", NULL},
-    {"pool", (getter)Core_get_pool, NULL,
-     "the ScheduledCall free list", NULL},
     {"hooks", (getter)Core_get_hooks, (setter)Core_set_hooks,
      "observability hooks or None", NULL},
     {NULL, NULL, NULL, NULL, NULL},
@@ -1150,7 +1013,7 @@ static PyTypeObject CoreType = {
     .tp_basicsize = sizeof(CoreObject),
     .tp_dealloc = (destructor)Core_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled event-loop core (clock + heap + free list).",
+    .tp_doc = "Compiled event-loop core (clock + heap).",
     .tp_traverse = (traverseproc)Core_traverse,
     .tp_clear = (inquiry)Core_clear_gc,
     .tp_methods = Core_methods,
@@ -1249,469 +1112,28 @@ parse_data_initial(PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-static int
-checksum_parse(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-               const char *name, Py_buffer *buf, unsigned long long *initial)
-{
-    PyObject *data, *initial_obj;
-
-    *initial = 0;
-    if (parse_data_initial(args, nargs, kwnames, name, &data,
-                           &initial_obj) < 0)
-        return -1;
-    if (initial_obj != NULL) {
-        *initial = PyLong_AsUnsignedLongLong(initial_obj);
-        if (*initial == (unsigned long long)-1 && PyErr_Occurred())
-            return -1;
-    }
-    if (PyObject_GetBuffer(data, buf, PyBUF_SIMPLE) < 0)
-        return -1;
-    return 0;
-}
-
 static PyObject *
 mod_internet_checksum(PyObject *Py_UNUSED(module), PyObject *const *args,
                       Py_ssize_t nargs, PyObject *kwnames)
 {
+    PyObject *data, *initial_obj;
     Py_buffer buf;
-    unsigned long long initial, total;
+    unsigned long long initial = 0, total;
 
-    if (checksum_parse(args, nargs, kwnames, "internet_checksum", &buf,
-                       &initial) < 0)
+    if (parse_data_initial(args, nargs, kwnames, "internet_checksum",
+                           &data, &initial_obj) < 0)
+        return NULL;
+    if (initial_obj != NULL) {
+        initial = PyLong_AsUnsignedLongLong(initial_obj);
+        if (initial == (unsigned long long)-1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (PyObject_GetBuffer(data, &buf, PyBUF_SIMPLE) < 0)
         return NULL;
     total = rawsum_buf((const unsigned char *)buf.buf, buf.len) + initial;
     PyBuffer_Release(&buf);
     return PyLong_FromUnsignedLong(
         (unsigned long)(~fold_u64(total) & 0xFFFF));
-}
-
-static PyObject *
-mod_verify(PyObject *Py_UNUSED(module), PyObject *const *args,
-           Py_ssize_t nargs, PyObject *kwnames)
-{
-    Py_buffer buf;
-    unsigned long long initial, total;
-
-    if (checksum_parse(args, nargs, kwnames, "verify", &buf, &initial) < 0)
-        return NULL;
-    total = rawsum_buf((const unsigned char *)buf.buf, buf.len) + initial;
-    PyBuffer_Release(&buf);
-    return PyBool_FromLong(fold_u64(total) == 0xFFFF);
-}
-
-static PyObject *
-mod_combine(PyObject *Py_UNUSED(module), PyObject *parts)
-{
-    PyObject *iter, *item;
-    unsigned long long total = 0;
-    long long offset = 0;
-
-    iter = PyObject_GetIter(parts);
-    if (iter == NULL)
-        return NULL;
-    while ((item = PyIter_Next(iter)) != NULL) {
-        PyObject *fast = PySequence_Fast(
-            item, "combine() parts must be (sum, length) pairs");
-        unsigned long long part_sum;
-        long long length;
-
-        Py_DECREF(item);
-        if (fast == NULL)
-            goto fail;
-        if (PySequence_Fast_GET_SIZE(fast) != 2) {
-            Py_DECREF(fast);
-            PyErr_SetString(PyExc_ValueError,
-                            "combine() parts must be (sum, length) pairs");
-            goto fail;
-        }
-        part_sum = PyLong_AsUnsignedLongLong(
-            PySequence_Fast_GET_ITEM(fast, 0));
-        if (part_sum == (unsigned long long)-1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            goto fail;
-        }
-        length = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, 1));
-        if (length == -1 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            goto fail;
-        }
-        Py_DECREF(fast);
-        if (offset & 1) {
-            unsigned long long folded = fold_u64(part_sum);
-            total += ((folded << 8) | (folded >> 8)) & 0xFFFF;
-        }
-        else {
-            total += part_sum;
-        }
-        offset += length;
-    }
-    Py_DECREF(iter);
-    if (PyErr_Occurred())
-        return NULL;
-    return PyLong_FromUnsignedLongLong(total);
-fail:
-    Py_DECREF(iter);
-    return NULL;
-}
-
-/* ---------------------------------------------------------------- */
-/* CRC-10 (ITU I.363 AAL3/4) and CRC-32 (IEEE 802.3)                 */
-/* ---------------------------------------------------------------- */
-
-#define CRC10_POLY 0x233
-#define CRC32_POLY 0xEDB88320UL
-
-static unsigned short crc10_table[256];
-static unsigned long crc32_table[256];
-
-static void
-build_crc_tables(void)
-{
-    unsigned int byte, bit, crc;
-    unsigned long crc32v;
-
-    for (byte = 0; byte < 256; byte++) {
-        crc = byte << 2;
-        for (bit = 0; bit < 8; bit++) {
-            if (crc & 0x200)
-                crc = ((crc << 1) ^ CRC10_POLY) & 0x3FF;
-            else
-                crc = (crc << 1) & 0x3FF;
-        }
-        crc10_table[byte] = (unsigned short)crc;
-    }
-    for (byte = 0; byte < 256; byte++) {
-        crc32v = byte;
-        for (bit = 0; bit < 8; bit++) {
-            if (crc32v & 1)
-                crc32v = (crc32v >> 1) ^ CRC32_POLY;
-            else
-                crc32v >>= 1;
-        }
-        crc32_table[byte] = crc32v & 0xFFFFFFFFUL;
-    }
-}
-
-static unsigned int
-crc10_buf(const unsigned char *p, Py_ssize_t n, unsigned int crc)
-{
-    Py_ssize_t i;
-
-    crc &= 0x3FF;
-    for (i = 0; i < n; i++)
-        crc = ((crc << 8) & 0x3FF) ^ crc10_table[((crc >> 2) ^ p[i]) & 0xFF];
-    return crc;
-}
-
-static PyObject *
-mod_crc10(PyObject *Py_UNUSED(module), PyObject *const *args,
-          Py_ssize_t nargs, PyObject *kwnames)
-{
-    Py_buffer buf;
-    PyObject *data, *initial_obj;
-    long long initial = 0;
-    unsigned int crc;
-
-    if (parse_data_initial(args, nargs, kwnames, "crc10", &data,
-                           &initial_obj) < 0)
-        return NULL;
-    if (initial_obj != NULL) {
-        initial = PyLong_AsLongLong(initial_obj);
-        if (initial == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    if (PyObject_GetBuffer(data, &buf, PyBUF_SIMPLE) < 0)
-        return NULL;
-    crc = crc10_buf((const unsigned char *)buf.buf, buf.len,
-                    (unsigned int)(initial & 0x3FF));
-    PyBuffer_Release(&buf);
-    return PyLong_FromUnsignedLong(crc);
-}
-
-static PyObject *
-mod_crc32(PyObject *Py_UNUSED(module), PyObject *const *args,
-          Py_ssize_t nargs, PyObject *kwnames)
-{
-    Py_buffer buf;
-    PyObject *data, *initial_obj;
-    long long initial = 0;
-    unsigned long crc;
-    const unsigned char *p;
-    Py_ssize_t i;
-
-    if (parse_data_initial(args, nargs, kwnames, "crc32", &data,
-                           &initial_obj) < 0)
-        return NULL;
-    if (initial_obj != NULL) {
-        initial = PyLong_AsLongLong(initial_obj);
-        if (initial == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    if (PyObject_GetBuffer(data, &buf, PyBUF_SIMPLE) < 0)
-        return NULL;
-    crc = ((unsigned long)initial ^ 0xFFFFFFFFUL) & 0xFFFFFFFFUL;
-    p = (const unsigned char *)buf.buf;
-    for (i = 0; i < buf.len; i++)
-        crc = (crc >> 8) ^ crc32_table[(crc ^ p[i]) & 0xFF];
-    PyBuffer_Release(&buf);
-    return PyLong_FromUnsignedLong((crc ^ 0xFFFFFFFFUL) & 0xFFFFFFFFUL);
-}
-
-/* ---------------------------------------------------------------- */
-/* AAL3/4 segmentation / reassembly                                  */
-/* ---------------------------------------------------------------- */
-
-#define AAL_CELL_PAYLOAD 44
-#define AAL_CPCS_OVERHEAD 8
-
-static int
-ensure_aal_installed(void)
-{
-    if (g_reassembly_error == NULL || g_cell_cls == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "aal_install() has not been called");
-        return -1;
-    }
-    return 0;
-}
-
-static int
-reasm_err(const char *text)
-{
-    PyErr_SetString(g_reassembly_error, text);
-    return -1;
-}
-
-static PyObject *
-mod_aal_segment(PyObject *Py_UNUSED(module), PyObject *pdu)
-{
-    Py_buffer buf;
-    Py_ssize_t length, n, i, padded;
-    unsigned char *cpcs;
-    PyObject *cells;
-
-    if (ensure_aal_installed() < 0)
-        return NULL;
-    if (PyObject_GetBuffer(pdu, &buf, PyBUF_SIMPLE) < 0)
-        return NULL;
-    length = buf.len;
-    if (length > 0xFFFF) {
-        PyBuffer_Release(&buf);
-        /* Matches int.to_bytes(2, "big") overflowing in the pure path. */
-        PyErr_SetString(PyExc_OverflowError, "int too big to convert");
-        return NULL;
-    }
-    n = (length + AAL_CPCS_OVERHEAD + AAL_CELL_PAYLOAD - 1)
-        / AAL_CELL_PAYLOAD;
-    if (n < 1)
-        n = 1;
-    padded = n * AAL_CELL_PAYLOAD;
-    cpcs = PyMem_Malloc(padded);
-    if (cpcs == NULL) {
-        PyBuffer_Release(&buf);
-        return PyErr_NoMemory();
-    }
-    memset(cpcs, 0, padded);
-    cpcs[0] = 0xAA;
-    cpcs[1] = 0x00;
-    cpcs[2] = (unsigned char)(length >> 8);
-    cpcs[3] = (unsigned char)(length & 0xFF);
-    if (length > 0)
-        memcpy(cpcs + 4, buf.buf, length);
-    cpcs[4 + length] = 0x55;
-    cpcs[5 + length] = 0x00;
-    cpcs[6 + length] = (unsigned char)(length >> 8);
-    cpcs[7 + length] = (unsigned char)(length & 0xFF);
-    PyBuffer_Release(&buf);
-
-    cells = PyList_New(n);
-    if (cells == NULL) {
-        PyMem_Free(cpcs);
-        return NULL;
-    }
-    for (i = 0; i < n; i++) {
-        PyObject *payload, *cell;
-        unsigned int crc;
-
-        payload = PyBytes_FromStringAndSize(
-            (const char *)cpcs + i * AAL_CELL_PAYLOAD, AAL_CELL_PAYLOAD);
-        if (payload == NULL)
-            goto fail;
-        crc = crc10_buf(cpcs + i * AAL_CELL_PAYLOAD, AAL_CELL_PAYLOAD, 0);
-        cell = PyObject_CallFunction(
-            g_cell_cls, "OiiO", payload, (int)crc, (int)i,
-            (i == n - 1) ? Py_True : Py_False);
-        Py_DECREF(payload);
-        if (cell == NULL)
-            goto fail;
-        PyList_SET_ITEM(cells, i, cell);
-    }
-    PyMem_Free(cpcs);
-    return cells;
-fail:
-    PyMem_Free(cpcs);
-    Py_DECREF(cells);
-    return NULL;
-}
-
-static PyObject *
-mod_aal_reassemble(PyObject *Py_UNUSED(module), PyObject *cells)
-{
-    PyObject *fast = NULL, **payloads = NULL;
-    Py_ssize_t n, i, body_len = 0, pos, length;
-    unsigned char *body = NULL;
-    PyObject *result = NULL, *lastflag;
-    int truth;
-
-    if (ensure_aal_installed() < 0)
-        return NULL;
-    fast = PySequence_Fast(cells, "reassemble() requires a cell sequence");
-    if (fast == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(fast);
-    if (n == 0) {
-        reasm_err("no cells");
-        goto done;
-    }
-    payloads = PyMem_Calloc(n, sizeof(PyObject *));
-    if (payloads == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (i = 0; i < n; i++) {
-        PyObject *cell = PySequence_Fast_GET_ITEM(fast, i);
-        PyObject *idx, *crcobj;
-        long long idx_ll, crc_ll;
-        int overflow, crc_equal;
-        Py_buffer pbuf;
-        unsigned int computed;
-
-        idx = PyObject_GetAttr(cell, s_index);
-        if (idx == NULL)
-            goto done;
-        idx_ll = PyLong_AsLongLongAndOverflow(idx, &overflow);
-        if (idx_ll == -1 && !overflow && PyErr_Occurred()) {
-            Py_DECREF(idx);
-            goto done;
-        }
-        if (overflow || idx_ll != (long long)i) {
-            PyObject *msg = PyUnicode_FromFormat(
-                "cell sequence error at %zd (got %S)", i, idx);
-            Py_DECREF(idx);
-            if (msg != NULL) {
-                PyErr_SetObject(g_reassembly_error, msg);
-                Py_DECREF(msg);
-            }
-            goto done;
-        }
-        Py_DECREF(idx);
-
-        payloads[i] = PyObject_GetAttr(cell, s_payload);
-        if (payloads[i] == NULL)
-            goto done;
-        if (PyObject_GetBuffer(payloads[i], &pbuf, PyBUF_SIMPLE) < 0)
-            goto done;
-        computed = crc10_buf((const unsigned char *)pbuf.buf, pbuf.len, 0);
-        body_len += pbuf.len;
-        PyBuffer_Release(&pbuf);
-
-        crcobj = PyObject_GetAttr(cell, s_crc);
-        if (crcobj == NULL)
-            goto done;
-        if (PyLong_Check(crcobj)) {
-            crc_ll = PyLong_AsLongLongAndOverflow(crcobj, &overflow);
-            if (crc_ll == -1 && !overflow && PyErr_Occurred()) {
-                Py_DECREF(crcobj);
-                goto done;
-            }
-            crc_equal = !overflow && crc_ll == (long long)computed;
-        }
-        else {
-            PyObject *comp = PyLong_FromUnsignedLong(computed);
-            if (comp == NULL) {
-                Py_DECREF(crcobj);
-                goto done;
-            }
-            crc_equal = PyObject_RichCompareBool(comp, crcobj, Py_EQ);
-            Py_DECREF(comp);
-            if (crc_equal < 0) {
-                Py_DECREF(crcobj);
-                goto done;
-            }
-        }
-        Py_DECREF(crcobj);
-        if (!crc_equal) {
-            PyObject *msg = PyUnicode_FromFormat(
-                "CRC-10 failure in cell %zd", i);
-            if (msg != NULL) {
-                PyErr_SetObject(g_reassembly_error, msg);
-                Py_DECREF(msg);
-            }
-            goto done;
-        }
-    }
-
-    lastflag = PyObject_GetAttr(PySequence_Fast_GET_ITEM(fast, n - 1),
-                                s_last);
-    if (lastflag == NULL)
-        goto done;
-    truth = PyObject_IsTrue(lastflag);
-    Py_DECREF(lastflag);
-    if (truth < 0)
-        goto done;
-    if (!truth) {
-        reasm_err("missing end-of-message cell");
-        goto done;
-    }
-
-    body = PyMem_Malloc(body_len > 0 ? body_len : 1);
-    if (body == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    pos = 0;
-    for (i = 0; i < n; i++) {
-        Py_buffer pbuf;
-        if (PyObject_GetBuffer(payloads[i], &pbuf, PyBUF_SIMPLE) < 0)
-            goto done;
-        memcpy(body + pos, pbuf.buf, pbuf.len);
-        pos += pbuf.len;
-        PyBuffer_Release(&pbuf);
-    }
-
-    if (body_len < AAL_CPCS_OVERHEAD) {
-        reasm_err("short CPCS PDU");
-        goto done;
-    }
-    if (body[0] != 0xAA) {
-        reasm_err("bad CPCS header tag");
-        goto done;
-    }
-    length = ((Py_ssize_t)body[2] << 8) | body[3];
-    if (4 + length > body_len) {
-        reasm_err("CPCS length exceeds received data");
-        goto done;
-    }
-    if (4 + length + 4 > body_len || body[4 + length] != 0x55) {
-        reasm_err("bad CPCS trailer tag");
-        goto done;
-    }
-    if (((((Py_ssize_t)body[4 + length + 2]) << 8) |
-         body[4 + length + 3]) != length) {
-        reasm_err("CPCS header/trailer length mismatch");
-        goto done;
-    }
-    result = PyBytes_FromStringAndSize((const char *)body + 4, length);
-
-done:
-    if (payloads != NULL) {
-        for (i = 0; i < n; i++)
-            Py_XDECREF(payloads[i]);
-        PyMem_Free(payloads);
-    }
-    PyMem_Free(body);
-    Py_XDECREF(fast);
-    return result;
 }
 
 /* ---------------------------------------------------------------- */
@@ -2002,10 +1424,9 @@ mod_chunk_sizes(PyObject *Py_UNUSED(module), PyObject *args)
 static PyObject *
 mod_engine_install(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *pending, *sched_err, *deadlock, *noop;
+    PyObject *pending, *sched_err, *deadlock;
 
-    if (!PyArg_ParseTuple(args, "OOOO", &pending, &sched_err,
-                          &deadlock, &noop))
+    if (!PyArg_ParseTuple(args, "OOO", &pending, &sched_err, &deadlock))
         return NULL;
     Py_INCREF(pending);
     REPRO_SETREF(g_pending, pending);
@@ -2013,8 +1434,6 @@ mod_engine_install(PyObject *Py_UNUSED(module), PyObject *args)
     REPRO_SETREF(g_scheduling_error, sched_err);
     Py_INCREF(deadlock);
     REPRO_SETREF(g_deadlock, deadlock);
-    Py_INCREF(noop);
-    REPRO_SETREF(g_noop, noop);
     Py_RETURN_NONE;
 }
 
@@ -2026,45 +1445,17 @@ mod_mbuf_install(PyObject *Py_UNUSED(module), PyObject *mbuf_error)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-mod_aal_install(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    PyObject *reasm_error, *cell_cls;
-
-    if (!PyArg_ParseTuple(args, "OO", &reasm_error, &cell_cls))
-        return NULL;
-    Py_INCREF(reasm_error);
-    REPRO_SETREF(g_reassembly_error, reasm_error);
-    Py_INCREF(cell_cls);
-    REPRO_SETREF(g_cell_cls, cell_cls);
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef corec_methods[] = {
     {"engine_install", mod_engine_install, METH_VARARGS,
-     "engine_install(pending, SchedulingError, Deadlock, noop)"},
+     "engine_install(pending, SchedulingError, Deadlock)"},
     {"mbuf_install", mod_mbuf_install, METH_O,
      "mbuf_install(MbufError)"},
-    {"aal_install", mod_aal_install, METH_VARARGS,
-     "aal_install(ReassemblyError, Cell)"},
     {"raw_sum", mod_raw_sum, METH_O,
      "Unfolded 16-bit big-endian word sum of a buffer."},
     {"internet_checksum",
      (PyCFunction)(void (*)(void))mod_internet_checksum,
      METH_FASTCALL | METH_KEYWORDS,
      "internet_checksum(data, initial=0) -> int"},
-    {"verify", (PyCFunction)(void (*)(void))mod_verify,
-     METH_FASTCALL | METH_KEYWORDS, "verify(data, initial=0) -> bool"},
-    {"combine", mod_combine, METH_O,
-     "Combine (raw_sum, byte_length) chunk sums into one raw sum."},
-    {"crc10", (PyCFunction)(void (*)(void))mod_crc10,
-     METH_FASTCALL | METH_KEYWORDS, "crc10(data, initial=0) -> int"},
-    {"crc32", (PyCFunction)(void (*)(void))mod_crc32,
-     METH_FASTCALL | METH_KEYWORDS, "crc32(data, initial=0) -> int"},
-    {"aal_segment", mod_aal_segment, METH_O,
-     "Wrap a PDU in CPCS framing and split into SAR cells."},
-    {"aal_reassemble", mod_aal_reassemble, METH_O,
-     "Check and unwrap a cell train back into the datagram."},
     {"chain_length", mod_chain_length, METH_O,
      "Total data bytes across a list of mbufs."},
     {"chain_to_bytes", mod_chain_to_bytes, METH_O,
@@ -2081,7 +1472,7 @@ static PyMethodDef corec_methods[] = {
 static struct PyModuleDef corec_module = {
     PyModuleDef_HEAD_INIT,
     "repro._native._corec",
-    "Compiled hot core: event loop, checksums, AAL3/4, mbuf chains.",
+    "Compiled hot core: event loop, Internet checksum, mbuf chains.",
     -1,
     corec_methods,
     NULL, NULL, NULL, NULL,
@@ -2092,14 +1483,10 @@ PyInit__corec(void)
 {
     PyObject *m;
 
-    /* Defining tp_richcompare suppresses the inherited hash; restore
-     * object's identity hash (the pure ScheduledCall is hashable). */
-    CallType.tp_hash = PyBaseObject_Type.tp_hash;
     if (PyType_Ready(&CallType) < 0)
         return NULL;
     if (PyType_Ready(&CoreType) < 0)
         return NULL;
-    build_crc_tables();
 
     g_empty_tuple = PyTuple_New(0);
     g_zero = PyLong_FromLong(0);
@@ -2120,10 +1507,6 @@ PyInit__corec(void)
     INTERN(s_cluster, "cluster");
     INTERN(s_underdata, "_data");
     INTERN(s_data, "data");
-    INTERN(s_payload, "payload");
-    INTERN(s_crc, "crc");
-    INTERN(s_index, "index");
-    INTERN(s_last, "last");
     INTERN(s_cancelled, "cancelled");
 #undef INTERN
 
@@ -2140,10 +1523,6 @@ PyInit__corec(void)
     Py_INCREF(&CoreType);
     if (PyModule_AddObject(m, "EngineCore", (PyObject *)&CoreType) < 0) {
         Py_DECREF(&CoreType);
-        Py_DECREF(m);
-        return NULL;
-    }
-    if (PyModule_AddIntConstant(m, "POOL_MAX", POOL_MAX) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -124,21 +124,3 @@ class Aal34Codec:
         if int.from_bytes(trailer[2:4], "big") != length:
             raise ReassemblyError("CPCS header/trailer length mismatch")
         return pdu
-
-
-# ----------------------------------------------------------------------
-# Optional compiled path (repro._native._corec).  The native codec
-# raises this module's ReassemblyError with the exact pure messages and
-# builds this module's Cell objects, so callers (and the chaos
-# impairment layer, which mutates Cells in flight) see no difference.
-# ----------------------------------------------------------------------
-
-import repro.perf.native as _native_dispatch
-
-if _native_dispatch.lib is not None:
-    _native_dispatch.lib.aal_install(ReassemblyError, Cell)
-    _segment_py = Aal34Codec.segment
-    _reassemble_py = Aal34Codec.reassemble
-    Aal34Codec.segment = staticmethod(_native_dispatch.lib.aal_segment)
-    Aal34Codec.reassemble = staticmethod(
-        _native_dispatch.lib.aal_reassemble)

@@ -75,19 +75,3 @@ def crc32(data: Buffer, initial: int = 0) -> int:
     for byte in bytes(data):
         crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
-
-
-# ----------------------------------------------------------------------
-# Optional compiled path (repro._native._corec); the pure definitions
-# stay importable as _*_py for the equivalence tests.  crc10_check and
-# every importer (repro.atm.aal's per-cell CRC) resolve the rebound
-# module globals, so they ride the native path automatically.
-# ----------------------------------------------------------------------
-
-import repro.perf.native as _native_dispatch
-
-if _native_dispatch.lib is not None:
-    _crc10_py = crc10
-    _crc32_py = crc32
-    crc10 = _native_dispatch.lib.crc10
-    crc32 = _native_dispatch.lib.crc32

@@ -187,17 +187,14 @@ class PartialChecksum:
 # import time by repro.perf.native.  The pure definitions above stay
 # importable as _*_py for the native-vs-pure equivalence tests; every
 # later importer of this module binds the rebound (native) names.
-# fold/byte_swap16 stay pure: they are trivial and big-int-exact.
+# The other functions stay pure; verify() and PartialChecksum reach
+# the compiled sum through the module-global raw_sum.
 # ----------------------------------------------------------------------
 
 import repro.perf.native as _native_dispatch
 
 if _native_dispatch.lib is not None:
     _raw_sum_py = raw_sum
-    _combine_py = combine
     _internet_checksum_py = internet_checksum
-    _verify_py = verify
     raw_sum = _native_dispatch.lib.raw_sum
-    combine = _native_dispatch.lib.combine
     internet_checksum = _native_dispatch.lib.internet_checksum
-    verify = _native_dispatch.lib.verify

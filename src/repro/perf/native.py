@@ -1,5 +1,10 @@
 """Import-time selection of the optional compiled hot core.
 
+The core twins three hot spots: the event-loop core of
+:mod:`repro.sim.engine`, the Internet checksum of
+:mod:`repro.checksum.internet` and the mbuf chain helpers of
+:mod:`repro.mem.mbuf`.  Everything else always runs pure Python.
+
 This is the *only* module allowed to import :mod:`repro._native` (the
 ``repro lint`` layering rule rejects any other importer).  Selection
 happens exactly once, at first import, driven by ``REPRO_NATIVE``:
@@ -62,7 +67,7 @@ def _load() -> "tuple[Optional[ModuleType], bool]":
 NATIVE_AVAILABLE: bool
 
 #: The extension module when selected, else ``None``.  Every consumer
-#: (engine, checksum, AAL, mbuf) binds this once at import time.
+#: (engine, Internet checksum, mbuf) binds this once at import time.
 lib: Optional[ModuleType]
 
 lib, NATIVE_AVAILABLE = _load()

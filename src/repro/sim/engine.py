@@ -567,19 +567,16 @@ class Simulator:
 # (events, processes, timeouts, hook validation) is inherited — and
 # delegates the clock, heap and dispatch loops to an EngineCore whose
 # event order is byte-identical (same compaction cadence, same error
-# classes and messages).  The core also recycles dispatched handles on
-# a free list of its own.  tests/perf_golden/ gates the equivalence.
+# classes and messages).  Its handles keep the pure contract: a fresh
+# handle per schedule, and cancel() clears fn.  tests/perf_golden/
+# gates the equivalence.
 
 import repro.perf.native as _native_dispatch
 
 _CORE = _native_dispatch.lib
 
 if _CORE is not None:
-    def _noop(*_args: Any) -> None:
-        """The callback the core parks on cancelled and pooled handles."""
-        return None
-
-    _CORE.engine_install(Event._PENDING, SchedulingError, Deadlock, _noop)
+    _CORE.engine_install(Event._PENDING, SchedulingError, Deadlock)
 
     _PurePythonSimulator = Simulator
 
@@ -614,11 +611,6 @@ if _CORE is not None:
         @property
         def events_executed(self) -> int:
             return self._core.events_executed
-
-        @property
-        def pooled_calls(self) -> int:
-            """ScheduledCall handles on the core's free list."""
-            return self._core.pooled_calls
 
         @property
         def _queue(self) -> List[tuple]:

@@ -57,7 +57,8 @@ class TestAal34Codec:
     def test_crc_failure_detected(self):
         cells = Aal34Codec.segment(b"hello world, this is a datagram")
         cells[0].crc ^= 1
-        with pytest.raises(ReassemblyError):
+        with pytest.raises(ReassemblyError,
+                           match=r"^CRC-10 failure in cell 0$"):
             Aal34Codec.reassemble(cells)
 
     def test_payload_corruption_detected(self):
@@ -65,28 +66,32 @@ class TestAal34Codec:
         buf = bytearray(cells[1].payload)
         buf[3] ^= 0x10
         cells[1].payload = bytes(buf)
-        with pytest.raises(ReassemblyError):
+        with pytest.raises(ReassemblyError,
+                           match=r"^CRC-10 failure in cell 1$"):
             Aal34Codec.reassemble(cells)
 
     def test_missing_cell_detected(self):
         cells = Aal34Codec.segment(bytes(200))
-        with pytest.raises(ReassemblyError):
+        with pytest.raises(ReassemblyError,
+                           match=r"^cell sequence error at 0 \(got 1\)$"):
             Aal34Codec.reassemble(cells[:-1] and cells[1:])
 
     def test_reordered_cells_detected(self):
         cells = Aal34Codec.segment(bytes(200))
         cells[0], cells[1] = cells[1], cells[0]
-        with pytest.raises(ReassemblyError):
+        with pytest.raises(ReassemblyError,
+                           match=r"^cell sequence error at 0 \(got 1\)$"):
             Aal34Codec.reassemble(cells)
 
     def test_missing_eom_detected(self):
         cells = Aal34Codec.segment(bytes(100))
         cells[-1].last = False
-        with pytest.raises(ReassemblyError):
+        with pytest.raises(ReassemblyError,
+                           match=r"^missing end-of-message cell$"):
             Aal34Codec.reassemble(cells)
 
     def test_empty_train_rejected(self):
-        with pytest.raises(ReassemblyError):
+        with pytest.raises(ReassemblyError, match=r"^no cells$"):
             Aal34Codec.reassemble([])
 
 

@@ -27,6 +27,17 @@ class TestCLI:
         assert "Table 5" in out
         assert "Figure 2" in out
 
+    def test_bench_both_rejects_out(self, capsys, monkeypatch):
+        import subprocess
+
+        def no_child(*args, **kwargs):
+            raise AssertionError("bench --both started a child")
+
+        monkeypatch.setattr(subprocess, "call", no_child)
+        assert main(["repro", "bench", "--both", "--out", "r.json"]) == 2
+        assert "--out cannot be combined with --both" in \
+            capsys.readouterr().out
+
     def test_all_sections_registered(self):
         for name in ("table1", "table2", "table3", "table4", "table5",
                      "table6", "table7", "pcb", "mbuf", "sun3", "errors",

@@ -116,64 +116,6 @@ def test_checksum_functions_match_pure():
             internet._internet_checksum_py(data)
         assert internet.internet_checksum(data, initial=0x1234) == \
             internet._internet_checksum_py(data, initial=0x1234)
-        packet = data + internet.internet_checksum(data).to_bytes(2, "big")
-        assert internet.verify(packet) is internet._verify_py(packet)
-    parts = [(internet.raw_sum(bytes([i] * n)), n)
-             for i, n in ((1, 5), (2, 8), (3, 3))]
-    assert internet.combine(parts) == internet._combine_py(parts)
-
-
-@requires_native_in_use
-def test_crc_functions_match_pure():
-    from repro.checksum import crc
-
-    rng = random.Random(0xC4C)
-    for size in (0, 1, 7, 44, 500):
-        data = bytes(rng.randrange(256) for _ in range(size))
-        assert crc.crc10(data) == crc._crc10_py(data)
-        assert crc.crc32(data) == crc._crc32_py(data)
-        assert crc.crc10(data, initial=0x3A1) == \
-            crc._crc10_py(data, initial=0x3A1)
-        assert crc.crc32(data, initial=0xDEADBEEF) == \
-            crc._crc32_py(data, initial=0xDEADBEEF)
-
-
-@requires_native_in_use
-def test_aal_codec_matches_pure():
-    from repro.atm import aal
-
-    rng = random.Random(0xAA1)
-    for size in (0, 1, 35, 36, 44, 100, 1400):
-        pdu = bytes(rng.randrange(256) for _ in range(size))
-        native_cells = aal.Aal34Codec.segment(pdu)
-        pure_cells = aal._segment_py(pdu)
-        assert len(native_cells) == len(pure_cells)
-        for n, p in zip(native_cells, pure_cells):
-            assert n.payload == p.payload
-            assert n.crc == p.crc
-            assert n.index == p.index
-            assert n.last == p.last
-        assert aal.Aal34Codec.reassemble(native_cells) == pdu
-        assert aal._reassemble_py(pure_cells) == pdu
-
-
-@requires_native_in_use
-def test_aal_reassembly_errors_match_pure():
-    from repro.atm import aal
-
-    cells = aal.Aal34Codec.segment(b"x" * 100)
-    corrupted = list(cells)
-    corrupted[1] = aal.Cell(cells[1].payload, crc=0x3FF ^ cells[1].crc,
-                            index=1, last=cells[1].last)
-
-    def message(fn, arg):
-        with pytest.raises(aal.ReassemblyError) as e:
-            fn(arg)
-        return str(e.value)
-
-    for bad in ([], cells[:-1], corrupted):
-        assert message(aal.Aal34Codec.reassemble, bad) == \
-            message(aal._reassemble_py, bad)
 
 
 @requires_native_in_use

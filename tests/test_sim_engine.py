@@ -4,7 +4,6 @@ import gc
 
 import pytest
 
-import repro.perf.native as native_dispatch
 from repro.sim import (
     Deadlock,
     Event,
@@ -71,6 +70,28 @@ def test_cancel_is_idempotent():
     call.cancel()
     call.cancel()
     sim.run()
+
+
+def test_handle_contract_is_the_same_on_both_engines():
+    """A handle is time, fn and args plus cancel(): ``cancelled`` is
+    read-only, cancel() clears fn, and there is no seq, key or order."""
+    sim = Simulator()
+    seen = []
+    call = sim.schedule(10, seen.append, "x")
+    other = sim.schedule(20, seen.append, "y")
+    with pytest.raises(AttributeError):
+        call.cancelled = True
+    assert not call.cancelled
+    assert (call.time, call.fn, call.args) == (10, seen.append, ("x",))
+    assert not hasattr(call, "seq")
+    assert not hasattr(call, "key")
+    with pytest.raises(TypeError):
+        sorted([call, other])
+    other.cancel()
+    assert other.cancelled
+    assert (other.fn, other.args) == (None, ())
+    sim.run()
+    assert seen == ["x"]
 
 
 def test_run_until_stops_clock_at_until():
@@ -303,35 +324,29 @@ class TestHotPathMachinery:
     """The perf machinery behind the fast path: heap compaction, the
     inline hooks test and the direct timeout dispatch — all invisible
     to simulation results (see tests/test_perf_equivalence.py for the
-    end-to-end byte-identity proof).  Only the compiled core pools
-    dispatched handles; the pure engine drops each one once it has run,
-    so the pool tests check that it keeps none."""
+    end-to-end byte-identity proof).  Neither engine pools handles: each
+    is dropped once it has run, so the pool tests check that a run
+    leaves no spent handle alive."""
 
     @staticmethod
-    def _live_pure_handles():
-        from repro.sim import engine as engine_mod
-
+    def _live_handles():
+        """Live handles of the engine in use, pure or compiled."""
+        handle_type = type(Simulator().schedule(0, lambda: None))
         return sum(1 for obj in gc.get_objects()
-                   if type(obj) is engine_mod.ScheduledCall)
+                   if type(obj) is handle_type)
 
     def test_dispatched_handles_are_pooled_and_reused(self):
         gc.collect()
-        live_before = self._live_pure_handles()
+        live_before = self._live_handles()
         sim = Simulator()
         fired = []
         for i in range(10):
             sim.schedule(i, fired.append, i)
         sim.run()
         assert fired == list(range(10))
-        if native_dispatch.NATIVE_IN_USE:
-            assert sim.pooled_calls > 0
-            before = sim.pooled_calls
-            sim.schedule(100, fired.append, 10)
-            assert sim.pooled_calls == before - 1  # reused, not allocated
-        else:
-            # Nothing kept for reuse: every spent handle is freed.
-            assert self._live_pure_handles() <= live_before
-            sim.schedule(100, fired.append, 10)
+        # Nothing kept for reuse: every spent handle is freed.
+        assert self._live_handles() <= live_before
+        sim.schedule(100, fired.append, 10)
         sim.run()
         assert fired[-1] == 10
 
@@ -410,23 +425,14 @@ class TestHotPathMachinery:
             sim.run()
 
     def test_pool_never_grows_beyond_cap(self):
-        """At most POOL_MAX spent handles in the compiled core's pool;
-        none at all in the pure engine."""
-        if native_dispatch.NATIVE_IN_USE:
-            cap = native_dispatch.lib.POOL_MAX
-        else:
-            cap = 0
+        """The cap is zero: a long run keeps no spent handle either."""
         gc.collect()
-        live_before = self._live_pure_handles()
+        live_before = self._live_handles()
         sim = Simulator()
-        for i in range(cap + 500):
+        for i in range(1500):
             sim.schedule(i, lambda: None)
         sim.run()
-        if native_dispatch.NATIVE_IN_USE:
-            kept = sim.pooled_calls
-        else:
-            kept = self._live_pure_handles() - live_before
-        assert kept <= cap
+        assert self._live_handles() <= live_before
 
     def test_hooks_installed_mid_run_take_guarded_path(self):
         from repro.obs.hooks import SimHooks
