@@ -35,9 +35,16 @@ def rtt_with_population(population, header_prediction=True,
             table = host.tcp.pcbs
             active = [p for p in table.pcbs
                       if not p.is_listener and p.connection is not None]
-            for pcb in active:
-                table._list.remove(pcb)
-                table._list.append(pcb)
+            # The list is an insertion-ordered dict scanned newest
+            # first, so its tail is the front of the dict: re-insert the
+            # connection's PCBs there, in their scan order.
+            members = table._members
+            rest = [p for p in members if p not in active]
+            members.clear()
+            for pcb in reversed(active):
+                members[pcb] = None
+            for pcb in rest:
+                members[pcb] = None
             table._cache = None
 
     if sink_to_tail:

@@ -252,8 +252,11 @@ class ForeTca100:
         arrived_at = host.sim.now
         if host.metrics is not None:
             host.metrics.inc("atm.interrupts")
-        yield host.cpu.run(us(costs.intr_overhead_us),
-                           Priority.HARD_INTR, "atm intr")
+        cpu = host.cpu
+        job = cpu.run(us(costs.intr_overhead_us), Priority.HARD_INTR,
+                      "atm intr")
+        if not cpu.finish(job):
+            yield job
 
         integrated = (host.config.checksum_mode is ChecksumMode.INTEGRATED)
         drain_cost = (us(costs.atm_rx_fixed_us)
@@ -262,7 +265,9 @@ class ForeTca100:
             drain_cost += us(costs.atm_rx_integrated_fixed_us)
             drain_cost += us(
                 costs.atm_rx_integrated_extra_per_cell_us) * n_cells
-        yield host.cpu.run(drain_cost, Priority.HARD_INTR, "atm rx drain")
+        job = cpu.run(drain_cost, Priority.HARD_INTR, "atm rx drain")
+        if not cpu.finish(job):
+            yield job
         self._rx_fifo_cells -= n_cells
         self.stats.packets_received += 1
         self.stats.cells_received += n_cells

@@ -200,11 +200,16 @@ class LanceEthernet:
         arrived_at = host.sim.now
         if host.metrics is not None:
             host.metrics.inc("ether.interrupts")
-        yield host.cpu.run(us(costs.intr_overhead_us),
-                           Priority.HARD_INTR, "ether intr")
+        cpu = host.cpu
+        job = cpu.run(us(costs.intr_overhead_us), Priority.HARD_INTR,
+                      "ether intr")
+        if not cpu.finish(job):
+            yield job
         cost = us(costs.ether_rx_fixed_us
                   + costs.ether_rx_per_byte_us * len(frame_payload))
-        yield host.cpu.run(cost, Priority.HARD_INTR, "ether rx copy")
+        job = cpu.run(cost, Priority.HARD_INTR, "ether rx copy")
+        if not cpu.finish(job):
+            yield job
         # Frame copied out of the adapter: the ring descriptor is free.
         self._rx_ring_frames -= 1
         span = "rx.ether" if data_bearing else "rx.ack.ether"

@@ -120,7 +120,10 @@ class Host:
         """
         token = self.tracer.begin(span) if span else None
         start_ns = self.sim.now if lineage is not None else 0
-        yield self.cpu.run(cost_ns, priority, label)
+        cpu = self.cpu
+        job = cpu.run(cost_ns, priority, label)
+        if not cpu.finish(job):
+            yield job
         if token is not None:
             duration_us = self.tracer.end(token)
             if lineage is not None:

@@ -65,10 +65,13 @@ class ProcessScheduler:
             self.metrics.inc("sched.sleeps")
         wake_time_ns = yield self._channel(chan).wait()
         # Placed on the run queue: now compete for the CPU to switch in.
-        yield self.cpu.run(
+        cpu = self.cpu
+        job = cpu.run(
             int(self.costs.context_switch_us * 1000),
             Priority.KERNEL, "cswitch",
         )
+        if not cpu.finish(job):
+            yield job
         if self.metrics is not None:
             self.metrics.inc("sched.cswitch")
             self.metrics.observe(
@@ -95,9 +98,10 @@ class ProcessScheduler:
         self.wakeups += 1
         if self.metrics is not None:
             self.metrics.inc("sched.wakeups")
-        yield self.cpu.run(
-            int(self.costs.wakeup_us * 1000), priority, "wakeup",
-        )
+        cpu = self.cpu
+        job = cpu.run(int(self.costs.wakeup_us * 1000), priority, "wakeup")
+        if not cpu.finish(job):
+            yield job
         signal.fire(self.sim.now)
 
     def wakeup_nowait(self, chan: Hashable) -> None:

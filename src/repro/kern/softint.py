@@ -97,10 +97,13 @@ class SoftNet:
         # Dispatch latency: getting from the hardware interrupt's
         # schednetisr to the softint running (splnet context entered).
         try:
-            yield self.cpu.run(
+            cpu = self.cpu
+            job = cpu.run(
                 int(self.costs.softint_dispatch_us * 1000),
                 Priority.SOFT_INTR, "softint-dispatch",
             )
+            if not cpu.finish(job):
+                yield job
             while self._queue:
                 packet = self._queue.popleft()
                 self.dispatched += 1

@@ -17,7 +17,7 @@ sharing, so the CPU is modelled explicitly:
 * Equal priorities are FIFO and non-preemptive with respect to each
   other, matching the BSD kernel's non-preemptive top half.
 
-Each charge costs one heap event: the job is its own completion
+A charge costs at most one heap event: the job is its own completion
 :class:`~repro.sim.engine.Event`, and when the job finishes the CPU
 first starts the next ready job and then resumes the job's waiters
 straight from the completion's dispatch slot (the direct path
@@ -27,6 +27,14 @@ the hop gave: a more urgent job the resumed process submits at once
 still preempts that job at the same instant.  A job submitted to an
 idle CPU starts at once, without a trip through the ready heap, and a
 finished job only consults the ready heap when a job is waiting there.
+
+A charge that nothing can interrupt costs no event at all.  A
+submitter that waits on its job at once calls :meth:`CPU.finish`
+before yielding.  When the job holds the CPU and its completion is the
+dispatch loop's very next event (:meth:`Simulator.take`), the CPU
+completes it on the spot, and the submitter carries on without
+suspending its generator chain.  Otherwise it yields the job as
+before.  A plain ``yield cpu.run(...)`` keeps the one-event path.
 """
 
 from __future__ import annotations
@@ -129,6 +137,27 @@ class CPU:
             heapq.heappush(self._ready, (priority, seq, job))
             self._dispatch()
         return job
+
+    def finish(self, job: Job) -> bool:
+        """Complete *job* now if nothing can happen before it ends.
+
+        For a submitter that waits on its job at once::
+
+            job = cpu.run(cost, Priority.KERNEL, "copyin")
+            if not cpu.finish(job):
+                yield job
+
+        True when the job holds the CPU and its completion is the
+        dispatch loop's very next event (:meth:`Simulator.take`): the
+        clock has moved to the completion and the job has completed
+        exactly as its dispatch would have done it, so the submitter
+        carries on without suspending.  False changes nothing; the
+        caller yields the job.
+        """
+        if job is not self._running or not self.sim.take(self._completion):
+            return False
+        self._complete(job)
+        return True
 
     # ------------------------------------------------------------------
     # Introspection

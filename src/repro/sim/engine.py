@@ -26,6 +26,16 @@ Performance notes (the pure-Python hot path):
   (a deadline and an event).  The hooks test is inline, one
   ``is not None`` per dispatch, so hooks installed mid-run are seen
   from the next event on.
+* The newest entry waits outside the heap until the loop's next pop
+  (a ``heappushpop``) or the next schedule.  While it waits,
+  :meth:`Simulator.take` may claim it: when it is exactly the loop's
+  next dispatch, the caller moves the clock and does the work itself.
+  The CPU model completes uncontended charges this way
+  (:meth:`repro.sim.cpu.CPU.finish`), so most charges never enter the
+  heap.  The loop publishes its stop rules for this test, and a
+  multi-waiter event hides them from all but its last waiter.  The
+  compiled core's ``take`` always refuses, so ``events_executed``
+  differs between the engines while results stay identical.
 * A :class:`ScheduledCall` is three fields.  :meth:`ScheduledCall.cancel`
   clears ``fn``, which is the loop's single cancelled-entry test; a
   handle is never reused, so a stale ``cancel()`` on a spent handle is
@@ -43,8 +53,8 @@ protocol stack — is built on these primitives.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from heapq import heapify, heappop, heappush, heappushpop
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.sim.errors import (
     Deadlock,
@@ -220,8 +230,10 @@ class Event:
         self._value = value
         callbacks, self._callbacks = self._callbacks, None
         if callbacks:
-            for fn in callbacks:
-                fn(self)
+            if len(callbacks) == 1:
+                callbacks[0](self)
+            else:
+                self._dispatch(callbacks)
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(event)`` once the event triggers."""
@@ -242,9 +254,17 @@ class Event:
             else:
                 self.sim.schedule(0, self._dispatch, callbacks)
 
-    def _dispatch(self, callbacks: Iterable[Callable[["Event"], None]]) -> None:
-        for fn in callbacks:
+    def _dispatch(self, callbacks: List[Callable[["Event"], None]]) -> None:
+        """Run several waiters in registration order.  Until the last
+        one runs, the loop's stop token reads as triggered, so only the
+        last waiter can :meth:`Simulator.take` a completion: an earlier
+        one that moved the clock would hand the rest a later ``now``."""
+        sim = self.sim
+        stop, sim._stop = sim._stop, _ONCE
+        for fn in callbacks[:-1]:
             fn(self)
+        sim._stop = stop
+        callbacks[-1](self)
 
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
@@ -323,15 +343,21 @@ class Process(Event):
             self.sim.hooks.on_process_end(self.sim.now, self)
 
 
-class _Once:
-    """Stop token for :meth:`Simulator.step`: it reads as a triggered
-    event, so the dispatch loop returns after its first callback."""
+class _StopToken:
+    """A stand-in stop event for the dispatch loop: only its
+    ``_value`` is read."""
 
-    __slots__ = ()
-    _value = None
+    __slots__ = ("_value",)
+
+    def __init__(self, value: Any):
+        self._value = value
 
 
-_ONCE = _Once()
+#: Reads as triggered: :meth:`Simulator.step` returns after its first
+#: callback, and :meth:`Simulator.take` refuses outside a loop.
+_ONCE = _StopToken(None)
+#: Never triggers: the stop event of :meth:`Simulator.run`.
+_NEVER = _StopToken(Event._PENDING)
 
 
 class Simulator:
@@ -345,6 +371,12 @@ class Simulator:
         #: the integer prefix (keys are unique per simulator), so the
         #: heap never falls back to comparing ScheduledCall objects.
         self._queue: List[tuple] = []
+        #: The newest entry, kept out of the heap until the loop's next
+        #: pop (or the next schedule) so :meth:`take` can claim it.
+        self._held: Optional[tuple] = None
+        #: The running loop's stop rules, read by :meth:`take`.
+        self._until: Optional[int] = None
+        self._stop: Any = _ONCE
         self._seq_next = 0
         self._events_executed = 0
         #: Observability hooks (repro.obs.hooks.SimHooks) or None.
@@ -381,7 +413,8 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Number of callbacks executed so far (diagnostics)."""
+        """Number of callbacks the loop has dispatched so far
+        (diagnostics); calls claimed with :meth:`take` do not count."""
         return self._events_executed
 
     # ------------------------------------------------------------------
@@ -395,8 +428,11 @@ class Simulator:
         self._seq_next = seq + 1
         time = self.now + int(delay_ns)
         call = ScheduledCall(time, fn, args)
-        heappush(self._queue, (
-            time, seq if self._keyfn is None else self._keyfn(seq), call))
+        held = self._held
+        if held is not None:
+            heappush(self._queue, held)
+        self._held = (
+            time, seq if self._keyfn is None else self._keyfn(seq), call)
         if not (seq & _COMPACT_MASK):
             self._maybe_compact()
         if self.hooks is not None:
@@ -438,62 +474,6 @@ class Simulator:
         """Start a generator as a simulated process."""
         return Process(self, gen, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that succeeds once every event in *events* has.
-
-        Succeeds with the list of individual values, in input order.
-        """
-        events = list(events)
-        done = Event(self, name="all_of")
-        if not events:
-            done.succeed([])
-            return done
-        remaining = [len(events)]
-        values: List[Any] = [None] * len(events)
-
-        def make_cb(index: int) -> Callable[[Event], None]:
-            def cb(ev: Event) -> None:
-                if done.triggered:
-                    return
-                if not ev.ok:
-                    done.fail(ev._exc)  # noqa: SLF001 - kernel internal
-                    return
-                values[index] = ev._value  # noqa: SLF001
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.succeed(list(values))
-
-            return cb
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
-        return done
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """An event that succeeds as soon as any event in *events* does.
-
-        Succeeds with ``(index, value)`` of the first event to trigger.
-        """
-        events = list(events)
-        done = Event(self, name="any_of")
-        if not events:
-            raise EventError("any_of() requires at least one event")
-
-        def make_cb(index: int) -> Callable[[Event], None]:
-            def cb(ev: Event) -> None:
-                if done.triggered:
-                    return
-                if not ev.ok:
-                    done.fail(ev._exc)  # noqa: SLF001
-                    return
-                done.succeed((index, ev._value))  # noqa: SLF001
-
-            return cb
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
-        return done
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -501,16 +481,27 @@ class Simulator:
         """The dispatch loop: run live callbacks in ``(time, key)`` order.
 
         Returns True when it stops early: at the first live entry due
-        after *until*, which stays queued, or once the event *stop* has
-        triggered after a dispatch.  Returns False when the queue holds
-        nothing live.  ``None`` disables either stop test.
+        after *until* (``None``: no deadline), which stays queued, or
+        once the event *stop* has triggered after a dispatch.  Returns
+        False when the queue holds nothing live.  Both stop rules are
+        published for :meth:`take` while the loop runs.
         """
         queue = self._queue
         pending = Event._PENDING
         executed = 0
+        outer = self._until, self._stop
+        self._until = until
+        self._stop = stop
         try:
-            while queue:
-                time, key, call = heappop(queue)
+            while True:
+                held = self._held
+                if held is not None:
+                    self._held = None
+                    time, key, call = heappushpop(queue, held)
+                elif queue:
+                    time, key, call = heappop(queue)
+                else:
+                    return False
                 fn = call.fn
                 if fn is None:
                     continue  # cancelled
@@ -525,11 +516,44 @@ class Simulator:
                 if self.hooks is not None:
                     self.hooks.on_dispatch(time, call)
                 fn(*call.args)
-                if stop is not None and stop._value is not pending:
+                if stop._value is not pending:
                     return True
-            return False
         finally:
             self._events_executed += executed
+            self._until, self._stop = outer
+
+    def take(self, call: ScheduledCall) -> bool:
+        """Claim *call* if it is exactly the running loop's next dispatch.
+
+        On True the call's entry has left the queue unrun and the clock
+        stands at its time: the caller does the call's work itself, from
+        the current dispatch, and no one can tell the difference.  That
+        holds only when *call* is the newest entry and still live, no
+        live entry is due before it (cancelled ones ahead of it are
+        dropped, as the loop would), it is due by :meth:`run`'s
+        deadline, the loop's stop event is still pending (so never in
+        :meth:`step`, outside a loop, or in any but the last waiter of a
+        fanned-out event) and no hooks are installed (they would miss
+        the dispatch).  A taken call does not count in
+        :attr:`events_executed`.
+        """
+        held = self._held
+        if held is None or held[2] is not call:
+            return False
+        # The usual refusal first: a live entry is due sooner.
+        queue = self._queue
+        while queue and queue[0] < held:
+            if queue[0][2].fn is not None:
+                return False
+            heappop(queue)
+        until = self._until
+        if call.fn is None or self.hooks is not None \
+                or self._stop._value is not Event._PENDING \
+                or (until is not None and held[0] > until):
+            return False
+        self._held = None
+        self.now = held[0]
+        return True
 
     def step(self) -> bool:
         """Execute the next non-cancelled callback.  Returns False when
@@ -545,11 +569,11 @@ class Simulator:
         until the queue is empty.
         """
         if until is None:
-            self._run(None, None)
+            self._run(None, _NEVER)
             return
         if until < self.now:
             raise SchedulingError(f"until={until} is in the past")
-        self._run(until, None)
+        self._run(until, _NEVER)
         self.now = until
 
     def run_until_triggered(self, event: Event) -> Any:
@@ -582,6 +606,9 @@ if _CORE is not None:
 
     class _NativeSimulator(_PurePythonSimulator):
         """Simulator backed by the compiled EngineCore."""
+
+        #: Swapped by Event._dispatch's fan-out guard; take() refuses.
+        _stop = _ONCE
 
         def __init__(self, hooks: Optional[Any] = None,
                      tiebreak: Optional[str] = None) -> None:
@@ -629,6 +656,10 @@ if _CORE is not None:
         def run_until_triggered(self, event: Event) -> Any:
             self._core.run_until_triggered(event)
             return event.value
+
+        def take(self, call: ScheduledCall) -> bool:
+            """Always refuses: the core's loops publish no stop rules."""
+            return False
 
         def _maybe_compact(self) -> None:
             self._core.maybe_compact()

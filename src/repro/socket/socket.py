@@ -190,7 +190,10 @@ class Socket:
             cost += costs.copy_user_cluster.ns(len(data))
         else:
             cost += costs.copy_user_mbuf.ns(len(data))
-        yield host.cpu.run(cost, Priority.KERNEL, "sosend copyin")
+        cpu = host.cpu
+        job = cpu.run(cost, Priority.KERNEL, "sosend copyin")
+        if not cpu.finish(job):
+            yield job
         lin = host.lineage
         write_rec = None
         if lin is not None:
@@ -293,7 +296,10 @@ class Socket:
         else:
             cost += costs.copy_user_mbuf.ns(take)
         cost += self.so_rcv.drop(take)  # sbdrop frees the mbufs
-        yield host.cpu.run(cost, Priority.KERNEL, "soreceive copyout")
+        cpu = host.cpu
+        job = cpu.run(cost, Priority.KERNEL, "soreceive copyout")
+        if not cpu.finish(job):
+            yield job
         if self.conn is not None:
             # Draining the buffer may reopen a closed receive window;
             # tell the peer (BSD sends a window update from sbdrop's
@@ -326,14 +332,18 @@ class Socket:
     # Internals
     # ------------------------------------------------------------------
     def _charge_syscall_entry(self) -> Generator:
-        yield self.host.cpu.run(
-            us(self.host.costs.syscall_entry_us),
-            Priority.KERNEL, "syscall entry")
+        cpu = self.host.cpu
+        job = cpu.run(us(self.host.costs.syscall_entry_us),
+                      Priority.KERNEL, "syscall entry")
+        if not cpu.finish(job):
+            yield job
 
     def _charge_syscall_exit(self) -> Generator:
-        yield self.host.cpu.run(
-            us(self.host.costs.syscall_exit_us),
-            Priority.KERNEL, "syscall exit")
+        cpu = self.host.cpu
+        job = cpu.run(us(self.host.costs.syscall_exit_us),
+                      Priority.KERNEL, "syscall exit")
+        if not cpu.finish(job):
+            yield job
 
     def _require_connected(self) -> None:
         if self.conn is None:

@@ -29,19 +29,26 @@ class UDPSocket:
         if self.closed:
             raise ValueError("socket closed")
         costs = self.host.costs
-        yield self.host.cpu.run(us(costs.syscall_entry_us),
-                                Priority.KERNEL, "syscall entry")
+        cpu = self.host.cpu
+        job = cpu.run(us(costs.syscall_entry_us), Priority.KERNEL,
+                      "syscall entry")
+        if not cpu.finish(job):
+            yield job
         copy_cost = (us(costs.sosend_fixed_us)
                      + costs.copy_user_mbuf.ns(len(payload)))
-        yield self.host.cpu.run(copy_cost, Priority.KERNEL, "udp copyin")
+        job = cpu.run(copy_cost, Priority.KERNEL, "udp copyin")
+        if not cpu.finish(job):
+            yield job
         yield self.host.splnet_acquire()
         try:
             yield from self.host.udp.output(self.port, dst_ip, dst_port,
                                             payload, Priority.KERNEL)
         finally:
             self.host.splnet_release()
-        yield self.host.cpu.run(us(costs.syscall_exit_us),
-                                Priority.KERNEL, "syscall exit")
+        job = cpu.run(us(costs.syscall_exit_us), Priority.KERNEL,
+                      "syscall exit")
+        if not cpu.finish(job):
+            yield job
 
     def recvfrom(self) -> Generator:
         """Block until a datagram arrives; returns
@@ -49,8 +56,11 @@ class UDPSocket:
         if self.closed:
             raise ValueError("socket closed")
         costs = self.host.costs
-        yield self.host.cpu.run(us(costs.syscall_entry_us),
-                                Priority.KERNEL, "syscall entry")
+        cpu = self.host.cpu
+        job = cpu.run(us(costs.syscall_entry_us), Priority.KERNEL,
+                      "syscall entry")
+        if not cpu.finish(job):
+            yield job
         queue = self.host.udp.queue_for(self.port)
         while not queue:
             yield from self.host.scheduler.sleep(self._channel,
@@ -58,9 +68,13 @@ class UDPSocket:
         payload, src_ip, src_port = queue.popleft()
         copy_cost = (us(costs.soreceive_fixed_us)
                      + costs.copy_user_mbuf.ns(len(payload)))
-        yield self.host.cpu.run(copy_cost, Priority.KERNEL, "udp copyout")
-        yield self.host.cpu.run(us(costs.syscall_exit_us),
-                                Priority.KERNEL, "syscall exit")
+        job = cpu.run(copy_cost, Priority.KERNEL, "udp copyout")
+        if not cpu.finish(job):
+            yield job
+        job = cpu.run(us(costs.syscall_exit_us), Priority.KERNEL,
+                      "syscall exit")
+        if not cpu.finish(job):
+            yield job
         return payload, src_ip, src_port
 
     def close(self) -> None:

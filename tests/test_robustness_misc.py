@@ -12,36 +12,6 @@ from repro.sim.engine import us
 from repro.socket.socket import SocketError
 
 
-class TestEngineCombinatorFailures:
-    def test_all_of_propagates_failure(self):
-        sim = Simulator()
-        good = sim.timeout(10, "ok")
-        bad = sim.event()
-        done = sim.all_of([good, bad])
-        sim.schedule(5, bad.fail, RuntimeError("boom"))
-        sim.run()
-        assert done.triggered and not done.ok
-        with pytest.raises(RuntimeError):
-            _ = done.value
-
-    def test_any_of_propagates_failure(self):
-        sim = Simulator()
-        slow = sim.timeout(100, "slow")
-        bad = sim.event()
-        done = sim.any_of([slow, bad])
-        sim.schedule(5, bad.fail, RuntimeError("boom"))
-        sim.run()
-        assert not done.ok
-
-    def test_all_of_late_failure_after_success_ignored(self):
-        sim = Simulator()
-        a = sim.timeout(5, "a")
-        b = sim.timeout(6, "b")
-        done = sim.all_of([a, b])
-        sim.run()
-        assert done.value == ["a", "b"]
-
-
 class TestHostMisc:
     def test_charge_without_span_records_nothing(self):
         sim = Simulator()

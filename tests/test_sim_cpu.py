@@ -1,8 +1,12 @@
 """Unit tests for the preemptive priority CPU model."""
 
+import random
+
 import pytest
 
+from repro.obs.hooks import SimHooks
 from repro.sim import CPU, Event, EventError, Job, Priority, Simulator
+from repro.sim import engine
 
 
 def make_cpu():
@@ -229,3 +233,169 @@ def test_completing_an_already_triggered_job_raises():
     job.succeed()
     with pytest.raises(EventError):
         sim.run()
+
+
+# ----------------------------------------------------------------------
+# CPU.finish: an uncontended charge completes inside its submitter
+# ----------------------------------------------------------------------
+#: The shortcut lives in the pure engine (the compiled core's take()
+#: always refuses), so these tests pin it on the pure engine.
+PureSimulator = getattr(engine, "_PurePythonSimulator", engine.Simulator)
+
+
+def charge(cpu, duration, priority, name):
+    """``yield from`` this: the finish-or-yield idiom of the stack."""
+    job = cpu.run(duration, priority, name)
+    if not cpu.finish(job):
+        yield job
+
+
+def test_uncontended_host_charges_cost_no_event():
+    """N back-to-back charges in a quiet simulator leave only the
+    process start in events_executed (the plain-yield path, pinned by
+    test_each_charge_costs_one_event, keeps one event per charge)."""
+    from repro.kern.host import Host
+
+    def run(sim):
+        host = Host(sim, "h", "10.0.0.9")
+
+        def syscall():
+            for _ in range(5):
+                yield from host.charge(100, Priority.KERNEL, "step")
+
+        sim.process(syscall())
+        sim.run()
+        assert sim.now == 500
+        assert host.cpu.busy_ns == 500
+        assert host.cpu.jobs_completed == 5
+        return sim.events_executed
+
+    assert run(PureSimulator()) == 1
+    # The compiled core refuses every take: one event per charge.
+    assert run(engine.Simulator()) == (
+        1 if engine.Simulator is PureSimulator else 6)
+
+
+def test_finish_refuses_a_preempted_or_queued_job():
+    sim = PureSimulator()
+    cpu = CPU(sim, "cpu0")
+    seen = []
+
+    def proc():
+        low = cpu.run(100, Priority.USER, "low")
+        queued = cpu.run(100, Priority.USER, "queued")
+        urgent = cpu.run(10, Priority.HARD_INTR, "urgent")
+        # low was preempted (its completion cancelled); queued never ran.
+        seen.append((cpu.finish(low), cpu.finish(queued), sim.now))
+        assert cpu.finish(urgent)
+        seen.append(sim.now)
+        yield low
+        seen.append(sim.now)
+        yield queued
+        seen.append(sim.now)
+
+    sim.run_until_triggered(sim.process(proc()))
+    assert seen == [(False, False, 0), 10, 110, 210]
+    assert cpu.preemptions == 1
+    assert cpu.jobs_completed == 3
+
+
+@pytest.mark.parametrize("trigger", ["timeout", "succeed"])
+def test_only_the_last_waiter_of_a_fanned_out_event_may_take(trigger):
+    """Two processes wait on one event; the first charges 50 ns through
+    finish.  Taking it would move the clock before the second waiter
+    ran, so the second must still resume at 100."""
+    sim = PureSimulator()
+    cpu = CPU(sim, "cpu0")
+    if trigger == "timeout":
+        tick = sim.timeout(100)
+    else:
+        tick = sim.event()
+        sim.schedule(100, tick.succeed)
+    resumed = {}
+
+    def first():
+        yield tick
+        resumed["first"] = sim.now
+        yield from charge(cpu, 50, Priority.KERNEL, "charge")
+        resumed["first charged"] = sim.now
+
+    def second():
+        yield tick
+        resumed["second"] = sim.now
+
+    sim.process(first())
+    sim.process(second())
+    sim.run()
+    assert resumed == {"first": 100, "second": 100, "first charged": 150}
+
+
+class _Silent(SimHooks):
+    """Installed hooks that do nothing: they force the shortcut off."""
+
+
+def _random_run(seed, tiebreak, shortcut):
+    """Random processes at random priorities charging through finish and
+    through plain yields, with random timeouts, shared (fanned-out)
+    ticks and cancelled timers, driven across a run(until) deadline."""
+    sim = PureSimulator(tiebreak=tiebreak)
+    if not shortcut:
+        sim.set_hooks(_Silent())
+    cpu = CPU(sim, "cpu0")
+    priorities = (Priority.HARD_INTR, Priority.SOFT_INTR, Priority.KERNEL,
+                  Priority.USER)
+    ticks = [sim.timeout(t) for t in (500, 1_000, 2_500)]
+    traces = {}
+
+    def proc(pid):
+        rng = random.Random(seed * 1_000 + pid)
+        trace = traces[pid] = []
+        timers = []
+        yield rng.randrange(0, 300)
+        for step in range(rng.randrange(5, 25)):
+            action = rng.random()
+            label = f"p{pid % 3}"
+            if action < 0.35:
+                yield from charge(cpu, rng.randrange(0, 200),
+                                  rng.choice(priorities), label)
+            elif action < 0.6:
+                yield cpu.run(rng.randrange(0, 200), rng.choice(priorities),
+                              label)
+            elif action < 0.7:
+                cpu.run(rng.randrange(0, 100), rng.choice(priorities),
+                        "background")
+            elif action < 0.8:
+                yield rng.randrange(0, 150)
+            elif action < 0.87:
+                yield sim.timeout(rng.randrange(0, 150))
+            elif action < 0.93:
+                tick = rng.choice(ticks)
+                if not tick.triggered:
+                    yield tick
+            else:
+                timers.append(sim.schedule(
+                    rng.randrange(0, 300),
+                    lambda t=trace, s=step: t.append((sim.now, "timer", s))))
+                if len(timers) > 1 and rng.random() < 0.5:
+                    timers.pop(rng.randrange(len(timers))).cancel()
+            trace.append((sim.now, step))
+
+    for pid in range(random.Random(seed).randrange(2, 7)):
+        sim.process(proc(pid))
+    sim.run(until=700)
+    sim.run()
+    return (traces, sim.now, cpu.busy_ns, cpu.busy_by_label,
+            cpu.preemptions, cpu.jobs_completed), sim.events_executed
+
+
+@pytest.mark.parametrize("tiebreak", ["fifo", "lifo", "shuffle:7"])
+def test_shortcut_is_invisible_to_random_workloads(tiebreak):
+    """The (time, label) trace of every process and the CPU's accounting
+    are the same with the shortcut on and forced off."""
+    saved = 0
+    for seed in range(40):
+        on, events_on = _random_run(seed, tiebreak, shortcut=True)
+        off, events_off = _random_run(seed, tiebreak, shortcut=False)
+        assert on == off, f"seed {seed}"
+        saved += events_off - events_on
+    assert saved > 0  # the shortcut was taken

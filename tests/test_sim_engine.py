@@ -14,6 +14,7 @@ from repro.sim import (
     to_us,
     us,
 )
+from repro.sim import engine
 
 
 def test_time_starts_at_zero():
@@ -273,31 +274,6 @@ class TestProcess:
         p = sim.process(waiter())
         with pytest.raises(Deadlock):
             sim.run_until_triggered(p)
-
-
-class TestCombinators:
-    def test_all_of_collects_values_in_order(self):
-        sim = Simulator()
-        done = sim.all_of([sim.timeout(30, "c"), sim.timeout(10, "a")])
-        sim.run()
-        assert done.value == ["c", "a"]
-        assert sim.now == 30
-
-    def test_all_of_empty(self):
-        sim = Simulator()
-        done = sim.all_of([])
-        sim.run()
-        assert done.value == []
-
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-        done = sim.any_of([sim.timeout(30, "slow"), sim.timeout(10, "fast")])
-        assert sim.run_until_triggered(done) == (1, "fast")
-
-    def test_any_of_empty_rejected(self):
-        sim = Simulator()
-        with pytest.raises(EventError):
-            sim.any_of([])
 
 
 def test_determinism_event_counts_match():
@@ -570,3 +546,149 @@ class TestKernelContract:
 
         assert results[0] == results[1] == results[2]
         assert results[0][2] == 3 * 5 + 1  # starts, timeouts, the end
+
+
+#: take() is a pure-engine shortcut (the compiled core always refuses),
+#: so its contract is checked on the pure engine under either path.
+PureSimulator = getattr(engine, "_PurePythonSimulator", engine.Simulator)
+
+
+class TestTake:
+    """Simulator.take(call) claims *call* only when it is exactly the
+    running loop's next dispatch; one test per refusal rule."""
+
+    @staticmethod
+    def _take_at(sim, when, delay, before=None):
+        """At *when*, run ``before()`` (if given), schedule a call
+        *delay* ns out and try to take it; returns ``[taken, now]``,
+        filled in by the dispatch."""
+        seen = []
+
+        def attempt():
+            if before is not None:
+                before()
+            call = sim.schedule(delay, seen.append, "ran")
+            seen.append(sim.take(call))
+            seen.append(sim.now)
+
+        sim.schedule(when, attempt)
+        return seen
+
+    def test_take_claims_the_next_dispatch_without_running_it(self):
+        sim = PureSimulator()
+        seen = self._take_at(sim, 10, 50)
+        sim.schedule(100, seen.append, "later")
+        sim.run()
+        # The call never runs: the caller does its work instead.
+        assert seen == [True, 60, "later"]
+        assert sim.now == 100
+        assert sim.events_executed == 2
+
+    def test_refuses_when_a_live_entry_is_due_sooner(self):
+        sim = PureSimulator()
+        sooner = []
+        seen = self._take_at(
+            sim, 10, 50, lambda: sim.schedule(30, sooner.append, sim.now))
+        sim.run()
+        assert seen == [False, 10, "ran"]
+        assert sooner == [10]
+        assert sim.now == 60
+
+    def test_cancelled_entries_ahead_do_not_refuse(self):
+        sim = PureSimulator()
+        seen = self._take_at(
+            sim, 10, 50, lambda: sim.schedule(30, seen.append, "x").cancel())
+        sim.run()
+        assert seen == [True, 60]
+
+    def test_refuses_a_call_that_is_not_the_newest_entry(self):
+        sim = PureSimulator()
+        seen = []
+
+        def attempt():
+            call = sim.schedule(50, seen.append, "ran")
+            sim.schedule(30, seen.append, "newer")
+            seen.append(sim.take(call))
+
+        sim.schedule(10, attempt)
+        sim.run()
+        assert seen == [False, "newer", "ran"]
+
+    def test_refuses_a_cancelled_call(self):
+        sim = PureSimulator()
+        seen = []
+
+        def attempt():
+            call = sim.schedule(50, seen.append, "ran")
+            call.cancel()
+            seen.append(sim.take(call))
+            seen.append(sim.now)
+
+        sim.schedule(10, attempt)
+        sim.run()
+        assert seen == [False, 10]
+
+    def test_refuses_with_hooks_installed(self):
+        from repro.obs.hooks import SimHooks
+
+        sim = PureSimulator(hooks=SimHooks())
+        seen = self._take_at(sim, 10, 50)
+        sim.run()
+        assert seen == [False, 10, "ran"]
+
+    def test_refuses_inside_step(self):
+        sim = PureSimulator()
+        seen = self._take_at(sim, 10, 50)
+        assert sim.step() is True
+        assert seen == [False, 10]
+        assert sim.step() is True
+        assert seen == [False, 10, "ran"]
+        assert sim.now == 60
+
+    def test_refuses_past_the_run_until_deadline(self):
+        sim = PureSimulator()
+        late = self._take_at(sim, 80, 21)
+        sim.run(until=100)
+        assert late == [False, 80]
+        assert sim.now == 100
+        sim.run()
+        assert late == [False, 80, "ran"]
+        assert sim.now == 101
+        # Due exactly at the deadline is due by it.
+        sim = PureSimulator()
+        on_time = self._take_at(sim, 80, 20)
+        sim.run(until=100)
+        assert on_time == [True, 100]
+
+    def test_refuses_once_the_stop_event_triggered_in_this_dispatch(self):
+        sim = PureSimulator()
+        done = sim.event()
+        seen = self._take_at(sim, 10, 50, lambda: done.succeed("stop"))
+        assert sim.run_until_triggered(done) == "stop"
+        # The loop stops after this dispatch, before the call is due.
+        assert seen == [False, 10]
+        assert sim.now == 10
+
+    def test_refuses_outside_any_loop(self):
+        sim = PureSimulator()
+        seen = []
+        call = sim.schedule(50, seen.append, "first")
+        assert sim.take(call) is False
+        assert sim.now == 0
+        sim.run()
+        assert seen == ["first"]
+        # A finished loop leaves no stop rules behind.
+        call = sim.schedule(50, seen.append, "second")
+        assert sim.take(call) is False
+        assert sim.now == 50
+        sim.run()
+        assert seen == ["first", "second"]
+        assert sim.now == 100
+
+    @pytest.mark.skipif(engine.Simulator is PureSimulator,
+                        reason="the compiled engine core is not in use")
+    def test_the_compiled_core_always_refuses(self):
+        sim = engine.Simulator()
+        seen = self._take_at(sim, 10, 50)
+        sim.run()
+        assert seen == [False, 10, "ran"]
