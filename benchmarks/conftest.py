@@ -4,48 +4,19 @@ Every benchmark regenerates one table or figure of the paper and prints
 it next to the published numbers.  The baseline ATM sweep is shared
 across tables (the paper reuses its Table 1 ATM column as the baseline
 of Tables 4, 6 and 7).
-
-Sweeps go through :mod:`repro.perf.runner`, so they share the
-content-addressed on-disk cache with the ``python -m repro`` tables
-(both use iterations=6/warmup=2, hence identical cache keys), and
-``pytest benchmarks/ --parallel N`` fans cache misses out over worker
-processes.  ``--no-cache`` forces recomputation.  Either way results
-are byte-identical to a cold serial run.
 """
 
 import pytest
 
 from repro.core.experiment import PAPER_SIZES  # noqa: F401  (re-export)
-from repro.perf.runner import SweepOptions
-from repro.perf.runner import run_sweep as _perf_run_sweep
+from repro.core.experiment import run_sweep as _run_sweep
 
 #: Iterations per benchmark point (after warmup); the simulator is
 #: deterministic so this is enough for stable means.  Kept equal to
-#: ``ITER, WARM`` in ``repro.__main__`` so CLI and pytest share cache
-#: entries.
+#: ``ITER, WARM`` in ``repro.__main__`` so the benchmarks check the
+#: numbers the CLI tables print.
 ITERATIONS = 6
 WARMUP = 2
-
-#: Filled from the command line in :func:`pytest_configure`.
-_OPTIONS = SweepOptions()
-
-
-def pytest_addoption(parser):
-    group = parser.getgroup("repro-perf")
-    group.addoption(
-        "--parallel", action="store", type=int, default=0,
-        metavar="N",
-        help="compute sweep cells on N worker processes (0 = serial)")
-    group.addoption(
-        "--no-cache", action="store_true", default=False,
-        help="bypass the on-disk sweep result cache (.repro-cache)")
-
-
-def pytest_configure(config):
-    global _OPTIONS
-    _OPTIONS = SweepOptions(
-        parallel=config.getoption("--parallel", 0),
-        use_cache=not config.getoption("--no-cache", False))
 
 
 @pytest.fixture(scope="session")
@@ -57,9 +28,7 @@ def atm_baseline():
 def run_sweep(network="atm", config=None, sizes=None,
               iterations=ITERATIONS, warmup=WARMUP):
     """One full size sweep; returns size -> RoundTripResult."""
-    return _perf_run_sweep(network=network, config=config, sizes=sizes,
-                          iterations=iterations, warmup=warmup,
-                          options=_OPTIONS)
+    return _run_sweep(network, config, sizes, iterations, warmup)
 
 
 def once(benchmark, fn):

@@ -50,13 +50,13 @@ and the README's "Static analysis & determinism checking" section):
   conservation counters against the FIFO baseline; exits 1 on any
   ordering divergence or invariant violation.
 
+Every table is computed in the process that prints it.  Within one
+invocation a sweep is computed once and reused, as the paper reuses its
+Table 1 ATM column as the baseline of Tables 4, 6 and 7.
+
 Performance (see :mod:`repro.perf` and the README's "Performance"
 section):
 
-* ``--parallel N`` / ``--no-cache`` — global flags accepted by every
-  table command: fan independent sweep cells out over N worker
-  processes, and/or bypass the on-disk result cache.  Results are
-  byte-identical either way; only wall time changes.
 * ``python -m repro bench [--label L] [--quick] [--strict]
   [--baseline FILE] [--tolerance PCT]`` — run the wall-time regression
   harness, write ``BENCH_<label>.json`` and compare against the
@@ -65,13 +65,14 @@ section):
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 
 from repro.core import paperdata
-from repro.core.breakdown import measure_breakdowns
+from repro.core.breakdown import breakdowns_from_results
 from repro.core.errorstudy import run_error_study
-from repro.core.experiment import PAPER_SIZES, run_round_trip
+from repro.core.experiment import PAPER_SIZES, run_sweep
 from repro.core.microbench import (
     copy_checksum_bench,
     mbuf_alloc_bench,
@@ -79,21 +80,23 @@ from repro.core.microbench import (
 )
 from repro.core.report import ascii_chart, format_table, pct_change
 from repro.kern.config import ChecksumMode, KernelConfig
-from repro.perf.runner import SweepOptions
-from repro.perf.runner import run_sweep as _perf_run_sweep
 
 ITER, WARM = 6, 2
 
-#: Sweep execution knobs, set from the global ``--parallel`` /
-#: ``--no-cache`` flags in :func:`main` before any section runs.
-SWEEP_OPTIONS = SweepOptions()
+
+@functools.cache
+def _results(network="atm", config=None):
+    """One sweep per (network, config), shared by every table."""
+    return run_sweep(network, config, iterations=ITER, warmup=WARM)
 
 
 def _sweep(network="atm", config=None):
-    results = _perf_run_sweep(network=network, config=config,
-                              iterations=ITER, warmup=WARM,
-                              options=SWEEP_OPTIONS)
-    return {s: r.mean_rtt_us for s, r in results.items()}
+    return {s: r.mean_rtt_us for s, r in _results(network, config).items()}
+
+
+def _breakdowns():
+    """Tables 2 and 3 are the span view of Table 1's ATM sweep."""
+    return breakdowns_from_results(_results().values())
 
 
 def table1() -> None:
@@ -110,8 +113,7 @@ def table1() -> None:
 
 
 def table2() -> None:
-    tx, _ = measure_breakdowns(iterations=ITER, warmup=WARM,
-                               options=SWEEP_OPTIONS)
+    tx, _ = _breakdowns()
     rows = []
     for t in tx:
         paper = dict(zip(paperdata.TABLE2_ROWS,
@@ -125,8 +127,7 @@ def table2() -> None:
 
 
 def table3() -> None:
-    _, rx = measure_breakdowns(iterations=ITER, warmup=WARM,
-                               options=SWEEP_OPTIONS)
+    _, rx = _breakdowns()
     rows = []
     for r in rx:
         paper = dict(zip(paperdata.TABLE3_ROWS,
@@ -919,34 +920,8 @@ def cmd_bench(args) -> int:
     return 1 if (strict and regressed) else 0
 
 
-def _extract_sweep_flags(args):
-    """Strip global ``--parallel N`` / ``--no-cache`` out of *args*."""
-    rest = []
-    parallel, use_cache = 0, True
-    i = 0
-    while i < len(args):
-        if args[i] == "--parallel":
-            if i + 1 >= len(args):
-                raise ValueError("--parallel needs a worker count")
-            parallel = int(args[i + 1])
-            i += 2
-        elif args[i] == "--no-cache":
-            use_cache = False
-            i += 1
-        else:
-            rest.append(args[i])
-            i += 1
-    return rest, parallel, use_cache
-
-
 def main(argv) -> int:
-    try:
-        args, parallel, use_cache = _extract_sweep_flags(list(argv[1:]))
-    except ValueError as error:
-        print(f"repro: {error}")
-        return 2
-    SWEEP_OPTIONS.parallel = parallel
-    SWEEP_OPTIONS.use_cache = use_cache
+    args = list(argv[1:])
     if "--list" in args:
         return list_targets()
     if args and args[0] == "trace":
@@ -972,8 +947,7 @@ def main(argv) -> int:
     if unknown:
         print(f"unknown section(s): {', '.join(unknown)}")
         print(f"available: {' '.join(SECTIONS)} trace metrics explain "
-              f"lint sanitize racecheck bench chaos fuzz --list "
-              f"[--parallel N] [--no-cache]")
+              f"lint sanitize racecheck bench chaos fuzz --list")
         return 2
     for i, name in enumerate(names):
         if i:

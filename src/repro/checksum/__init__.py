@@ -9,20 +9,17 @@ from repro.checksum.algorithms import (
 )
 from repro.checksum.crc import crc10, crc10_check, crc32
 from repro.checksum.internet import (
-    PartialChecksum,
     byte_swap16,
     combine,
     fold,
     internet_checksum,
     raw_sum,
-    verify,
 )
 
 __all__ = [
     "Bcopy",
     "IntegratedCopyChecksum",
     "OptimizedChecksum",
-    "PartialChecksum",
     "UltrixChecksum",
     "byte_swap16",
     "combine",
@@ -33,5 +30,4 @@ __all__ = [
     "internet_checksum",
     "raw_sum",
     "separate_copy_and_checksum_ns",
-    "verify",
 ]

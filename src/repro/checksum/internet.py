@@ -23,8 +23,6 @@ __all__ = [
     "byte_swap16",
     "combine",
     "internet_checksum",
-    "verify",
-    "PartialChecksum",
 ]
 
 Buffer = Union[bytes, bytearray, memoryview]
@@ -129,66 +127,12 @@ def internet_checksum(data: Buffer, initial: int = 0) -> int:
     return ~fold(raw_sum(data) + initial) & 0xFFFF
 
 
-def verify(data: Buffer, initial: int = 0) -> bool:
-    """Check a buffer whose checksum field is filled in.
-
-    Summing a correct packet, checksum included, folds to 0xFFFF.
-    """
-    return fold(raw_sum(data) + initial) == 0xFFFF
-
-
-class PartialChecksum:
-    """Accumulates per-chunk sums for later combination.
-
-    Mirrors the paper's transmit-side scheme: the socket layer checksums
-    each chunk as it copies user data into an mbuf and stores the partial
-    sum in the mbuf header; TCP later combines the partials — but only if
-    every chunk falls entirely inside one segment.
-    """
-
-    __slots__ = ("_parts", "_length")
-
-    def __init__(self) -> None:
-        self._parts: list = []
-        self._length = 0
-
-    @property
-    def length(self) -> int:
-        """Total bytes accumulated so far."""
-        return self._length
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self._parts)
-
-    def add_chunk(self, data: Buffer) -> int:
-        """Sum one chunk (as the copy loop would); returns its raw sum."""
-        part = raw_sum(data)
-        self._parts.append((part, len(data)))
-        self._length += len(data)
-        return part
-
-    def add_raw(self, part_sum: int, length: int) -> None:
-        """Record a chunk sum computed elsewhere (e.g. stored in an mbuf)."""
-        self._parts.append((int(part_sum), int(length)))
-        self._length += length
-
-    def raw_total(self) -> int:
-        """Combined raw sum of all chunks, with odd-offset fix-ups."""
-        return combine(self._parts)
-
-    def checksum(self, initial: int = 0) -> int:
-        """Finished Internet checksum over all chunks plus *initial*."""
-        return ~fold(self.raw_total() + initial) & 0xFFFF
-
-
 # ----------------------------------------------------------------------
 # Optional compiled path (repro._native._corec), selected once at
 # import time by repro.perf.native.  The pure definitions above stay
 # importable as _*_py for the native-vs-pure equivalence tests; every
 # later importer of this module binds the rebound (native) names.
-# The other functions stay pure; verify() and PartialChecksum reach
-# the compiled sum through the module-global raw_sum.
+# The other functions stay pure.
 # ----------------------------------------------------------------------
 
 import repro.perf.native as _native_dispatch

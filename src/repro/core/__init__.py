@@ -12,6 +12,7 @@ from repro.core.experiment import (
     RoundTripResult,
     payload_pattern,
     run_round_trip,
+    run_sweep,
 )
 from repro.core.microbench import (
     CopyChecksumPoint,
@@ -77,4 +78,5 @@ __all__ = [
     "pct_change",
     "run_error_study",
     "run_round_trip",
+    "run_sweep",
 ]

@@ -12,14 +12,14 @@ discussion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.core.experiment import PAPER_SIZES, run_round_trip
+from repro.core.experiment import PAPER_SIZES, RoundTripResult, run_round_trip
 from repro.hw.costs import MachineCosts
 from repro.kern.config import KernelConfig
 
 __all__ = ["TransmitBreakdown", "ReceiveBreakdown", "measure_breakdowns",
-           "breakdown_from_lineage"]
+           "breakdowns_from_results", "breakdown_from_lineage"]
 
 #: Span-name mapping for the transmit side (Table 2 row -> span).
 TX_SPANS = {
@@ -97,51 +97,43 @@ class ReceiveBreakdown:
         return getattr(self, name)
 
 
-def measure_breakdowns(sizes: Optional[List[int]] = None,
-                       config: Optional[KernelConfig] = None,
-                       costs: Optional[MachineCosts] = None,
-                       network: str = "atm",
-                       iterations: int = 8, warmup: int = 2,
-                       options=None):
-    """Run the benchmark per size and return (tx_rows, rx_rows).
+def _span_maps(network: str):
+    """The Table 2 and 3 row -> span maps; Ethernet has its own link spans."""
+    if network == "ethernet":
+        return ({**TX_SPANS, "atm": "tx.ether"},
+                {**RX_SPANS, "atm": "rx.ether"})
+    return TX_SPANS, RX_SPANS
 
-    *options* (a :class:`repro.perf.runner.SweepOptions`) routes the
-    per-size round trips through the cached/parallel sweep runner; the
-    breakdown rows are pure derivations of each cell's span snapshot,
-    so with the CLI's iterations the cells are the very same cache
-    entries Table 1's ATM column produces.  ``costs`` overrides bypass
-    the runner (cost structs aren't part of its cell key).
-    """
-    sizes = sizes if sizes is not None else PAPER_SIZES
+
+def breakdowns_from_results(results: Iterable[RoundTripResult],
+                            network: str = "atm"):
+    """(tx_rows, rx_rows), one column per round-trip result."""
+    tx_spans, rx_spans = _span_maps(network)
     tx_rows: List[TransmitBreakdown] = []
     rx_rows: List[ReceiveBreakdown] = []
-    tx_spans = dict(TX_SPANS)
-    rx_spans = dict(RX_SPANS)
-    if network == "ethernet":
-        tx_spans["atm"] = "tx.ether"
-        rx_spans["atm"] = "rx.ether"
-    results = None
-    if options is not None and costs is None:
-        from repro.perf.runner import run_sweep
-        results = run_sweep(network=network, config=config, sizes=sizes,
-                            iterations=iterations, warmup=warmup,
-                            options=options)
-    for size in sizes:
-        if results is not None:
-            result = results[size]
-        else:
-            result = run_round_trip(size=size, network=network,
-                                    config=config, costs=costs,
-                                    iterations=iterations, warmup=warmup)
-        tx_rows.append(TransmitBreakdown(size=size, **{
+    for result in results:
+        tx_rows.append(TransmitBreakdown(size=result.size, **{
             row: result.span_per_transfer("client", span)
             for row, span in tx_spans.items()
         }))
-        rx_rows.append(ReceiveBreakdown(size=size, **{
+        rx_rows.append(ReceiveBreakdown(size=result.size, **{
             row: result.span_per_transfer("server", span)
             for row, span in rx_spans.items()
         }))
     return tx_rows, rx_rows
+
+
+def measure_breakdowns(sizes: Optional[List[int]] = None,
+                       config: Optional[KernelConfig] = None,
+                       costs: Optional[MachineCosts] = None,
+                       network: str = "atm",
+                       iterations: int = 8, warmup: int = 2):
+    """Run the benchmark per size and return (tx_rows, rx_rows)."""
+    sizes = sizes if sizes is not None else PAPER_SIZES
+    return breakdowns_from_results(
+        [run_round_trip(size=size, network=network, config=config,
+                        costs=costs, iterations=iterations, warmup=warmup)
+         for size in sizes], network)
 
 
 def breakdown_from_lineage(recorder, size: int, iterations: int,
@@ -157,11 +149,7 @@ def breakdown_from_lineage(recorder, size: int, iterations: int,
     to what :func:`measure_breakdowns` computes from the span totals of
     the very same run.
     """
-    tx_spans = dict(TX_SPANS)
-    rx_spans = dict(RX_SPANS)
-    if network == "ethernet":
-        tx_spans["atm"] = "tx.ether"
-        rx_spans["atm"] = "rx.ether"
+    tx_spans, rx_spans = _span_maps(network)
     client_totals = recorder.aggregate(host=client)
     server_totals = recorder.aggregate(host=server)
     tx = TransmitBreakdown(size=size, **{

@@ -11,14 +11,14 @@ stable means — the defaults are recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.kern.config import KernelConfig
 from repro.core.testbed import Testbed, build_atm_pair, build_ethernet_pair
 from repro.hw.costs import MachineCosts
 
 __all__ = ["RoundTripResult", "RoundTripBenchmark", "run_round_trip",
-           "PAPER_SIZES", "SERVER_PORT"]
+           "run_sweep", "PAPER_SIZES", "SERVER_PORT"]
 
 #: The transfer sizes measured throughout the paper.
 PAPER_SIZES = [4, 20, 80, 200, 500, 1400, 4000, 8000]
@@ -204,3 +204,19 @@ def run_round_trip(size: int, network: str = "atm",
             observer.merge_spans(testbed.server.name,
                                  result.warmup_server_spans)
     return result
+
+
+def run_sweep(network: str = "atm",
+              config: Optional[KernelConfig] = None,
+              sizes: Optional[Sequence[int]] = None,
+              iterations: int = 6, warmup: int = 2,
+              ) -> Dict[int, RoundTripResult]:
+    """One size sweep, ``{size: RoundTripResult}`` in *sizes* order.
+
+    Every latency table of the paper is such a sweep over
+    :data:`PAPER_SIZES` (the default); each point is one
+    :func:`run_round_trip` on its own fresh testbed.
+    """
+    return {size: run_round_trip(size=size, network=network, config=config,
+                                 iterations=iterations, warmup=warmup)
+            for size in (PAPER_SIZES if sizes is None else sizes)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from repro.core import paperdata
-from repro.core.experiment import PAPER_SIZES, run_round_trip
+from repro.core.experiment import PAPER_SIZES, run_sweep
 from repro.core.microbench import (
     copy_checksum_bench,
     mbuf_alloc_bench,
@@ -54,10 +54,9 @@ class ValidationReport:
 
 
 def _sweep(config=None, network="atm", iterations=6, warmup=2):
-    return {s: run_round_trip(size=s, network=network, config=config,
-                              iterations=iterations,
-                              warmup=warmup).mean_rtt_us
-            for s in PAPER_SIZES}
+    results = run_sweep(network, config, iterations=iterations,
+                        warmup=warmup)
+    return {s: r.mean_rtt_us for s, r in results.items()}
 
 
 def _max_dev(measured: Dict[int, float],

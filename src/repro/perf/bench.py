@@ -10,7 +10,7 @@ Measures the hot layers of the reproduction —
 * the per-ACK retransmit-timer re-arm (cancel + schedule) with 1000
   resident connections,
 * full-stack round-trip wall time,
-* cold serial Table 1 regeneration wall time, and
+* Table 1 regeneration wall time, and
 * connection-scale closed-loop RPC workloads (events/s on the hash-PCB
   kernel at 100, 1000 and 10000 concurrent connections, and on the
   paper's list-PCB kernel at 1000) —
@@ -255,16 +255,13 @@ def bench_rtt_wall(size: int = 1400, iterations: int = 6,
 
 
 def bench_table1_regen(iterations: int = 6, warmup: int = 2) -> float:
-    """Wall seconds for a cold **serial** Table 1 regeneration (both
-    networks, all eight paper sizes, no cache)."""
-    from repro.perf.runner import SweepOptions, run_sweep
+    """Wall seconds for a Table 1 regeneration (both networks, all
+    eight paper sizes)."""
+    from repro.core.experiment import run_sweep
 
-    options = SweepOptions(parallel=0, use_cache=False)
     start = time.perf_counter()  # repro: allow(wall-clock)
-    run_sweep(network="atm", iterations=iterations, warmup=warmup,
-              options=options)
-    run_sweep(network="ethernet", iterations=iterations, warmup=warmup,
-              options=options)
+    run_sweep("atm", iterations=iterations, warmup=warmup)
+    run_sweep("ethernet", iterations=iterations, warmup=warmup)
     return time.perf_counter() - start  # repro: allow(wall-clock)
 
 

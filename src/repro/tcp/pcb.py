@@ -136,17 +136,6 @@ class PCBTable:
         """Whether any PCB is bound to local *port* (O(1))."""
         return port in self._local_ports
 
-    def rebind(self, pcb: PCB, remote_ip: int, remote_port: int) -> None:
-        """in_pcbconnect: fill in the remote endpoint of a bound PCB."""
-        del self._hash[pcb.key]
-        pcb.remote_ip = remote_ip
-        pcb.remote_port = remote_port
-        if pcb.key in self._hash:
-            self._hash[(pcb.local_ip, pcb.local_port, 0, 0)] = pcb
-            pcb.remote_ip = pcb.remote_port = 0
-            raise PCBError(f"duplicate PCB binding {pcb.key}")
-        self._hash[pcb.key] = pcb
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the round-trip experiment harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.experiment import (
@@ -7,8 +9,10 @@ from repro.core.experiment import (
     RoundTripBenchmark,
     payload_pattern,
     run_round_trip,
+    run_sweep,
 )
 from repro.core.testbed import build_atm_pair
+from repro.kern.config import KernelConfig
 
 
 class TestPayloadPattern:
@@ -88,6 +92,17 @@ class TestResults:
         small = run_round_trip(size=4, iterations=4, warmup=1)
         large = run_round_trip(size=8000, iterations=4, warmup=1)
         assert large.mean_rtt_us > 5 * small.mean_rtt_us
+
+
+class TestRunSweep:
+    def test_equals_run_round_trip_per_size_in_paper_order(self):
+        config = KernelConfig(header_prediction=False)
+        swept = run_sweep("atm", config, iterations=2, warmup=1)
+        assert list(swept) == PAPER_SIZES
+        for size, result in swept.items():
+            direct = run_round_trip(size=size, config=config,
+                                    iterations=2, warmup=1)
+            assert dataclasses.asdict(result) == dataclasses.asdict(direct)
 
 
 class TestResourceHygiene:

@@ -6,8 +6,10 @@ from repro.core import paperdata
 from repro.core.breakdown import (
     ReceiveBreakdown,
     TransmitBreakdown,
+    breakdowns_from_results,
     measure_breakdowns,
 )
+from repro.core.experiment import run_sweep
 from repro.core.microbench import (
     copy_checksum_bench,
     mbuf_alloc_bench,
@@ -93,6 +95,11 @@ class TestBreakdownHarness:
                                     iterations=3, warmup=1)
         assert tx[0].atm > 0  # populated from tx.ether
         assert rx[0].atm > 0
+
+    def test_rows_of_a_sweep_equal_a_breakdown_run(self, rows):
+        # The CLI prints Tables 2 and 3 from Table 1's ATM sweep.
+        swept = run_sweep(sizes=[200, 1400], iterations=4, warmup=1)
+        assert breakdowns_from_results(swept.values()) == rows
 
 
 class TestPaperData:

@@ -11,6 +11,10 @@ with hooks installed (guarded dispatch path, where ``Simulator.take``
 refuses, so every CPU charge costs a heap event) and without (fast
 path, where uncontended charges complete inside their submitter), and
 require byte-for-byte equality.
+
+``tests/perf_golden/tables.txt`` pins the printed paper tables the same
+way: the text of ``python -m repro table1 … table7 summary`` with the
+``[… regenerated in …]`` timing lines left out.
 """
 
 import json
@@ -80,3 +84,21 @@ def test_goldens_cover_both_networks_and_a_config_variant():
     assert networks == {"atm", "ethernet"}
     assert any(doc["config"] for doc in docs)
     assert any(doc["kwargs"]["size"] >= 8000 for doc in docs)
+
+
+TABLE_SECTIONS = ("table1", "table2", "table3", "table4", "table5",
+                  "table6", "table7", "summary")
+
+
+def test_printed_tables_match_golden(capsys):
+    """Tables 1-7 and the summary, byte for byte, as the CLI prints them
+    (one blank line between sections)."""
+    from repro.__main__ import SECTIONS
+
+    for i, name in enumerate(TABLE_SECTIONS):
+        if i:
+            print()
+        SECTIONS[name]()
+    with open(os.path.join(GOLDEN_DIR, "tables.txt"),
+              encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -59,14 +59,6 @@ class TestInsertRemove:
         found, _, hit = table.lookup(1, 1, 2, 99)
         assert found is None and not hit
 
-    def test_rebind(self, costs):
-        table = PCBTable(costs)
-        pcb = PCB(local_ip=1, local_port=1234)
-        table.insert(pcb)
-        table.rebind(pcb, remote_ip=9, remote_port=80)
-        found, _, _ = table.lookup(1, 1234, 9, 80)
-        assert found is pcb
-
 
 class TestListLookup:
     def test_exact_match_preferred_over_wildcard(self, costs):
