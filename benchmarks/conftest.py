@@ -29,8 +29,3 @@ def run_sweep(network="atm", config=None, sizes=None,
               iterations=ITERATIONS, warmup=WARMUP):
     """One full size sweep; returns size -> RoundTripResult."""
     return _run_sweep(network, config, sizes, iterations, warmup)
-
-
-def once(benchmark, fn):
-    """Run *fn* exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

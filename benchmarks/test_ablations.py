@@ -11,8 +11,6 @@ Each ablation isolates one mechanism DESIGN.md calls out:
 * delayed ACKs vs ack-every-packet for RPC traffic.
 """
 
-from conftest import once
-
 from repro.core.experiment import run_round_trip
 from repro.core.report import format_table, pct_change
 from repro.hw import decstation_5000_200
@@ -21,7 +19,7 @@ from repro.sim.engine import to_us
 from repro.tcp.pcb import PCB, PCBTable
 
 
-def test_ablation_pcb_structure_under_load(benchmark):
+def test_ablation_pcb_structure_under_load():
     """List vs hash demux cost as the connection count grows."""
     def run():
         costs = decstation_5000_200()
@@ -42,7 +40,7 @@ def test_ablation_pcb_structure_under_load(benchmark):
             out[population] = row
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [(n, round(v["list"], 1), round(v["hash"], 1))
             for n, v in out.items()]
     print()
@@ -53,7 +51,7 @@ def test_ablation_pcb_structure_under_load(benchmark):
     assert out[1000]["hash"] == out[10]["hash"]
 
 
-def test_ablation_cluster_threshold(benchmark):
+def test_ablation_cluster_threshold():
     """§2.2.1: sweep the socket layer's mbuf/cluster switchover around
     its 1 KB default; the latency step between 1000 and 1100 bytes
     exists only because of the threshold."""
@@ -64,7 +62,7 @@ def test_ablation_cluster_threshold(benchmark):
                                        warmup=2).mean_rtt_us
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [(s, round(v)) for s, v in out.items()]
     print()
     print(format_table("RTT around the 1 KB cluster threshold (us)",
@@ -77,7 +75,7 @@ def test_ablation_cluster_threshold(benchmark):
     assert step_across < step_below
 
 
-def test_ablation_partial_checksum_extensions(benchmark):
+def test_ablation_partial_checksum_extensions():
     """§4.1.1's two suggested improvements, on the Ethernet path where
     the MSS (1460) misaligns with 4 KB copy chunks."""
     def run():
@@ -98,7 +96,7 @@ def test_ablation_partial_checksum_extensions(benchmark):
                          result.client_stats["partial_cksum_misses"])
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [(name, round(rtt), hits, misses)
             for name, (rtt, hits, misses) in out.items()]
     print()
@@ -118,7 +116,7 @@ def test_ablation_partial_checksum_extensions(benchmark):
     assert predicted[0] < multi[0] < plain[0]
 
 
-def test_ablation_tx_fifo_depth(benchmark):
+def test_ablation_tx_fifo_depth():
     """How deep must the TCA-100's TX FIFO be for the driver's copy
     loop to never stall?  The calibrated copy rate nearly fills the
     real 36-cell FIFO on page-sized segments."""
@@ -143,7 +141,7 @@ def test_ablation_tx_fifo_depth(benchmark):
                 ForeTca100.TX_FIFO_CELLS = original
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [(d, round(rtt), round(stall)) for d, (rtt, stall)
             in out.items()]
     print()
@@ -161,7 +159,7 @@ def test_ablation_tx_fifo_depth(benchmark):
     assert abs(out[36][0] - out[292][0]) < out[36][0] * 0.02
 
 
-def test_ablation_delayed_acks(benchmark):
+def test_ablation_delayed_acks():
     """Delayed ACKs barely matter for RPC traffic (replies piggyback the
     ACK anyway), but ack-every-packet adds pure-ACK wire traffic."""
     def run():
@@ -170,7 +168,7 @@ def test_ablation_delayed_acks(benchmark):
                              config=KernelConfig(delayed_ack=False))
         return on, off
 
-    on, off = once(benchmark, run)
+    on, off = run()
     print(f"\nRTT with delayed acks: {on.mean_rtt_us:.0f} us; "
           f"ack-every-packet: {off.mean_rtt_us:.0f} us")
     # Ack-every-packet sends standalone ACKs for every data segment.

@@ -13,14 +13,12 @@ Regenerated with real bit flips against real CRC-10 / Internet-checksum
 implementations.
 """
 
-from conftest import once
-
 from repro.core.errorstudy import run_error_study
 from repro.core.report import format_table
 from repro.kern.config import ChecksumMode
 
 
-def test_error_detection_layering(benchmark):
+def test_error_detection_layering():
     def run():
         scenarios = {}
         scenarios["local+link-noise"] = run_error_study(
@@ -32,7 +30,7 @@ def test_error_detection_layering(benchmark):
             size=1400, iterations=40, seed=103)
         return scenarios
 
-    scen = once(benchmark, run)
+    scen = run()
 
     rows = []
     for name, r in scen.items():
@@ -63,7 +61,7 @@ def test_error_detection_layering(benchmark):
     assert clean.caught_by_tcp_checksum == 0
 
 
-def test_checksum_off_is_safe_for_checking_applications(benchmark):
+def test_checksum_off_is_safe_for_checking_applications():
     """With the checksum eliminated and realistic (tiny) local error
     rates, the application-level check is the end-to-end backstop."""
     def run():
@@ -71,7 +69,7 @@ def test_checksum_off_is_safe_for_checking_applications(benchmark):
             size=1400, iterations=40, p_controller=0.1,
             checksum_mode=ChecksumMode.OFF, seed=104)
 
-    r = once(benchmark, run)
+    r = run()
     # Errors reach the application (or vanish as header corruption and
     # get retransmitted) -- but the run completes with every transfer
     # ultimately delivered, because the application detects and the

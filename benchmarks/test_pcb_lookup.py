@@ -6,7 +6,6 @@ table eliminates the problem; both are regenerated here.
 """
 
 import numpy as np
-from conftest import once
 
 from repro.core import paperdata
 from repro.core.microbench import pcb_search_bench
@@ -17,8 +16,8 @@ from repro.sim.engine import to_us
 from repro.tcp.pcb import PCB, PCBTable
 
 
-def test_pcb_search_scales_linearly(benchmark):
-    points = once(benchmark, pcb_search_bench)
+def test_pcb_search_scales_linearly():
+    points = pcb_search_bench()
 
     rows = [(p.entries, round(p.cost_us, 1)) for p in points]
     print()
@@ -41,7 +40,7 @@ def test_pcb_search_scales_linearly(benchmark):
     assert float(np.max(np.abs(residuals))) < 5.0
 
 
-def test_hash_table_eliminates_lookup_cost(benchmark):
+def test_hash_table_eliminates_lookup_cost():
     """The paper's suggestion: 'a simple hash table implementation could
     eliminate the lookup problem entirely'."""
     def run():
@@ -60,18 +59,18 @@ def test_hash_table_eliminates_lookup_cost(benchmark):
             out[n] = to_us(cost_ns)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     assert out[20] == out[1000]
     assert out[1000] < 20  # vs ~1290 us for the list
 
 
-def test_typical_pcb_populations_are_modest(benchmark):
+def test_typical_pcb_populations_are_modest():
     """§3: a mail server has <250 active PCBs, workstations <50 — so the
     cache savings with a short list are small by construction."""
     def run():
         costs = decstation_5000_200()
         return {n: costs.pcb_search_ns(n) / 1000.0 for n in (50, 250)}
 
-    cost = once(benchmark, run)
+    cost = run()
     assert cost[50] < 100
     assert cost[250] < 400

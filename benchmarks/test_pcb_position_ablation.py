@@ -11,8 +11,6 @@ suddenly earns its keep — while the hash-table alternative makes
 position irrelevant, the paper's concluding point.
 """
 
-from conftest import once
-
 from repro.core.experiment import RoundTripBenchmark, SERVER_PORT
 from repro.core.report import format_table, pct_change
 from repro.core.testbed import build_atm_pair
@@ -54,7 +52,7 @@ def rtt_with_population(population, header_prediction=True,
     return bench.run()
 
 
-def test_pcb_position_changes_predictions_value(benchmark):
+def test_pcb_position_changes_predictions_value():
     def runs():
         out = {}
         out["head10_pred"] = rtt_with_population(10, True).mean_rtt_us
@@ -68,7 +66,7 @@ def test_pcb_position_changes_predictions_value(benchmark):
             sink_to_tail=True).mean_rtt_us
         return out
 
-    out = once(benchmark, runs)
+    out = runs()
     small = pct_change(out["head10_nopred"], out["head10_pred"])
     big = pct_change(out["tail250_nopred"], out["tail250_pred"])
     rows = [

@@ -6,15 +6,13 @@ DECstation 96/91/111 µs; savings of 35% vs 68%, and an 80% overall
 platform improvement.
 """
 
-from conftest import once
-
 from repro.core import paperdata
 from repro.core.report import format_table
 from repro.checksum import Bcopy, IntegratedCopyChecksum, OptimizedChecksum
 from repro.hw import decstation_5000_200, sun_3
 
 
-def test_sun3_vs_decstation(benchmark):
+def test_sun3_vs_decstation():
     def run():
         out = {}
         for machine in (sun_3(), decstation_5000_200()):
@@ -25,7 +23,7 @@ def test_sun3_vs_decstation(benchmark):
             out[machine.name] = (cksum, copy, combined)
         return out
 
-    out = once(benchmark, run)
+    out = run()
     sun = out["Sun-3"]
     dec = out["DECstation 5000/200"]
 

@@ -6,14 +6,14 @@ in the paper's 45-55% band (±10 points), and absolute RTTs are within
 ±20% of the published values.
 """
 
-from conftest import once, run_sweep
+from conftest import run_sweep
 
 from repro.core import paperdata
 from repro.core.report import format_table, pct_change
 
 
-def test_table1(benchmark, atm_baseline):
-    ethernet = once(benchmark, lambda: run_sweep(network="ethernet"))
+def test_table1(atm_baseline):
+    ethernet = run_sweep(network="ethernet")
 
     rows = []
     for size in paperdata.SIZES:
@@ -44,10 +44,10 @@ def test_table1(benchmark, atm_baseline):
         assert abs(eth / paperdata.TABLE1_ETHERNET_RTT[size] - 1) <= 0.20
 
 
-def test_table1_monotonic_in_size(benchmark, atm_baseline):
+def test_table1_monotonic_in_size(atm_baseline):
     def check():
         rtts = [atm_baseline[s].mean_rtt_us for s in paperdata.SIZES]
         return rtts
 
-    rtts = once(benchmark, check)
+    rtts = check()
     assert rtts == sorted(rtts), "RTT must grow with transfer size"

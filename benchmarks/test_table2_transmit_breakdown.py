@@ -4,8 +4,6 @@ Regenerates the per-layer transmit spans (User, TCP checksum/mcopy/
 segment, IP, ATM) from the kernel's span instrumentation.
 """
 
-from conftest import once
-
 from repro.core import paperdata
 from repro.core.breakdown import measure_breakdowns
 from repro.core.report import format_table
@@ -18,8 +16,8 @@ TOLERANCE = {"user": 0.30, "checksum": 0.12, "mcopy": 0.45,
              "segment": 0.25, "ip": 0.10, "atm": 0.35, "total": 0.20}
 
 
-def test_table2(benchmark):
-    tx_rows, _ = once(benchmark, measure_breakdowns)
+def test_table2():
+    tx_rows, _ = measure_breakdowns()
 
     print()
     table_rows = []
@@ -45,18 +43,16 @@ def test_table2(benchmark):
                 f"{tx.size}B {row}: sim {sim:.1f} vs paper {paper[row]}")
 
 
-def test_table2_checksum_dominates_large_transfers(benchmark):
-    tx_rows, _ = once(benchmark, lambda: measure_breakdowns(
-        sizes=[4000, 8000]))
+def test_table2_checksum_dominates_large_transfers():
+    tx_rows, _ = measure_breakdowns(sizes=[4000, 8000])
     for tx in tx_rows:
         # §2.3: data-touching operations dominate for large transfers.
         assert tx.checksum > tx.segment + tx.ip
         assert tx.checksum > 0.4 * tx.total
 
 
-def test_table2_mcopy_drops_at_cluster_switchover(benchmark):
-    tx_rows, _ = once(benchmark, lambda: measure_breakdowns(
-        sizes=[500, 1400]))
+def test_table2_mcopy_drops_at_cluster_switchover():
+    tx_rows, _ = measure_breakdowns(sizes=[500, 1400])
     by_size = {t.size: t for t in tx_rows}
     # §2.2.1: the refcounted cluster copy makes mcopy *cheaper* at 1400
     # bytes than at 500 bytes.

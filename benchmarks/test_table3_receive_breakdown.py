@@ -7,8 +7,6 @@ attribution differs from the paper's last-segment methodology (see
 EXPERIMENTS.md), so only shape properties are asserted there.
 """
 
-from conftest import once
-
 from repro.core import paperdata
 from repro.core.breakdown import measure_breakdowns
 from repro.core.report import format_table
@@ -22,8 +20,8 @@ ROWS = ("atm", "ipq", "ip", "checksum", "segment", "wakeup", "user",
         "total")
 
 
-def test_table3(benchmark):
-    _, rx_rows = once(benchmark, measure_breakdowns)
+def test_table3():
+    _, rx_rows = measure_breakdowns()
 
     print()
     table_rows = []
@@ -54,18 +52,17 @@ def test_table3(benchmark):
                 f"{rx.size}B {row}: sim {sim:.1f} vs paper {paper[row]}")
 
 
-def test_table3_atm_drain_dominates_large_receives(benchmark):
-    _, rx_rows = once(benchmark, lambda: measure_breakdowns(
-        sizes=[1400, 4000]))
+def test_table3_atm_drain_dominates_large_receives():
+    _, rx_rows = measure_breakdowns(sizes=[1400, 4000])
     for rx in rx_rows:
         # The uncached per-cell FIFO drain is the largest receive cost.
         assert rx.atm > rx.checksum
         assert rx.atm > rx.segment + rx.ip + rx.ipq
 
 
-def test_table3_scheduling_share_small_transfers(benchmark):
+def test_table3_scheduling_share_small_transfers():
     """§2.2.4: IPQ+Wakeup ≈ 68 µs, ~6.7% of the 4-byte round trip."""
-    _, rx_rows = once(benchmark, lambda: measure_breakdowns(sizes=[4]))
+    _, rx_rows = measure_breakdowns(sizes=[4])
     rx = rx_rows[0]
     sched = rx.ipq + rx.wakeup
     assert 50 <= sched <= 85

@@ -10,16 +10,15 @@ against the stock kernel, reproducing the paper's findings:
   transfer, so the benefit is visibly larger.
 """
 
-from conftest import once, run_sweep
+from conftest import run_sweep
 
 from repro.core import paperdata
 from repro.core.report import ascii_chart, format_table, pct_change
 from repro.kern.config import KernelConfig
 
 
-def test_table4_and_figure1(benchmark, atm_baseline):
-    no_predict = once(benchmark, lambda: run_sweep(
-        config=KernelConfig(header_prediction=False)))
+def test_table4_and_figure1(atm_baseline):
+    no_predict = run_sweep(config=KernelConfig(header_prediction=False))
 
     rows = []
     for size in paperdata.SIZES:
@@ -59,7 +58,7 @@ def test_table4_and_figure1(benchmark, atm_baseline):
     assert max(small) - min(small) <= 5.0
 
 
-def test_fast_path_hit_pattern(benchmark, atm_baseline):
+def test_fast_path_hit_pattern(atm_baseline):
     """The mechanism behind Table 4's 8000-byte row: the fast path
     succeeds only for the second segment of two-segment transfers."""
     def collect():
@@ -70,7 +69,7 @@ def test_fast_path_hit_pattern(benchmark, atm_baseline):
                           stats["data_segs_received"])
         return hits
 
-    hits = once(benchmark, collect)
+    hits = collect()
     # One hit per connection for the very first data segment (empty
     # pipe), none for the steady-state single-segment RPC exchanges...
     assert hits[200][0] <= 1
@@ -80,7 +79,7 @@ def test_fast_path_hit_pattern(benchmark, atm_baseline):
     assert data_hits >= data_segs // 2
 
 
-def test_pcb_cache_savings_are_modest(benchmark):
+def test_pcb_cache_savings_are_modest():
     """§3 summary: 'the PCB cache accounted for only a small improvement
     in latency (about 4% on average)'."""
     def ratio():
@@ -93,7 +92,7 @@ def test_pcb_cache_savings_are_modest(benchmark):
                                       r.mean_rtt_us))
         return savings
 
-    savings = once(benchmark, ratio)
+    savings = ratio()
     # The paper itself records a -0.5% point (1400 bytes); the
     # benefit can vanish when the failed-prediction check overhead
     # cancels the cache hit.

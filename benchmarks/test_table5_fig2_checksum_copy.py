@@ -5,16 +5,14 @@ variants (ULTRIX checksum, bcopy, optimized checksum, integrated
 copy+checksum) and the "Savings When Integrated" column.
 """
 
-from conftest import once
-
 from repro.core import paperdata
 from repro.core.microbench import copy_checksum_bench
 from repro.core.report import ascii_chart, format_table
 from repro.hw import decstation_5000_200
 
 
-def test_table5_and_figure2(benchmark):
-    points = once(benchmark, copy_checksum_bench)
+def test_table5_and_figure2():
+    points = copy_checksum_bench()
 
     rows = []
     for p in points:
@@ -58,12 +56,12 @@ def test_table5_and_figure2(benchmark):
     assert abs(big.savings_when_integrated_pct - 40) <= 5
 
 
-def test_integrated_bandwidth_limit(benchmark):
+def test_integrated_bandwidth_limit():
     """§4.1: 'the effective bandwidth limitation imposed by the combined
     copy and checksum loop is just above 9 MB/s'."""
     def bandwidth():
         return decstation_5000_200().copy_cksum_integrated.bandwidth_mb_s(
             8000)
 
-    bw = once(benchmark, bandwidth)
+    bw = bandwidth()
     assert 9.0 < bw < 10.0

@@ -8,16 +8,16 @@ the break-even point falls between 500 and 1400 bytes — the paper's
 headline crossover.
 """
 
-from conftest import once, run_sweep
+from conftest import run_sweep
 
 from repro.core import paperdata
 from repro.core.report import format_table, pct_change
 from repro.kern.config import ChecksumMode, KernelConfig
 
 
-def test_table6(benchmark, atm_baseline):
-    integrated = once(benchmark, lambda: run_sweep(
-        config=KernelConfig(checksum_mode=ChecksumMode.INTEGRATED)))
+def test_table6(atm_baseline):
+    integrated = run_sweep(
+        config=KernelConfig(checksum_mode=ChecksumMode.INTEGRATED))
 
     rows = []
     savings = {}
@@ -52,10 +52,10 @@ def test_table6(benchmark, atm_baseline):
                    / paperdata.TABLE6_INTEGRATED[size] - 1) <= 0.15
 
 
-def test_partial_checksums_cover_page_aligned_segments(benchmark):
-    result = once(benchmark, lambda: run_sweep(
+def test_partial_checksums_cover_page_aligned_segments():
+    result = run_sweep(
         sizes=[8000],
-        config=KernelConfig(checksum_mode=ChecksumMode.INTEGRATED)))
+        config=KernelConfig(checksum_mode=ChecksumMode.INTEGRATED))
     stats = result[8000].client_stats
     # The socket layer's 4 KB chunks line up with the page-sized MSS, so
     # TCP combines stored partials instead of re-checksumming.

@@ -5,16 +5,15 @@ Checksum option (§4.2).  Reproduction criteria: negligible saving at 4
 bytes, growing monotonically to ~41% at 8000 bytes.
 """
 
-from conftest import once, run_sweep
+from conftest import run_sweep
 
 from repro.core import paperdata
 from repro.core.report import format_table, pct_change
 from repro.kern.config import ChecksumMode, KernelConfig
 
 
-def test_table7(benchmark, atm_baseline):
-    no_cksum = once(benchmark, lambda: run_sweep(
-        config=KernelConfig(checksum_mode=ChecksumMode.OFF)))
+def test_table7(atm_baseline):
+    no_cksum = run_sweep(config=KernelConfig(checksum_mode=ChecksumMode.OFF))
 
     rows = []
     savings = {}
@@ -50,11 +49,11 @@ def test_table7(benchmark, atm_baseline):
                    / paperdata.TABLE7_NO_CHECKSUM[size] - 1) <= 0.15
 
 
-def test_no_checksum_transfers_remain_correct(benchmark):
+def test_no_checksum_transfers_remain_correct():
     """On a clean link, eliminating the checksum loses nothing: the
     echoed payloads still verify at the application."""
-    results = once(benchmark, lambda: run_sweep(
+    results = run_sweep(
         sizes=[1400, 8000],
-        config=KernelConfig(checksum_mode=ChecksumMode.OFF)))
+        config=KernelConfig(checksum_mode=ChecksumMode.OFF))
     for size, result in results.items():
         assert result.echo_errors == 0

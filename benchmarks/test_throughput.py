@@ -9,14 +9,12 @@ absolute numbers sit in the era-plausible single-digit MB/s range, well
 below both the 140 Mb/s wire and the 9 MB/s copy ceiling.
 """
 
-from conftest import once
-
 from repro.core.report import format_table
 from repro.core.throughput import run_bulk_throughput
 from repro.kern.config import ChecksumMode
 
 
-def test_bulk_throughput_by_checksum_mode(benchmark):
+def test_bulk_throughput_by_checksum_mode():
     def run():
         return {
             mode: run_bulk_throughput(total_bytes=300_000,
@@ -25,7 +23,7 @@ def test_bulk_throughput_by_checksum_mode(benchmark):
                          ChecksumMode.OFF)
         }
 
-    results = once(benchmark, run)
+    results = run()
 
     rows = [(mode.value, round(r.goodput_mb_s, 2),
              round(r.receiver_cpu_busy_frac * 100),
@@ -51,9 +49,8 @@ def test_bulk_throughput_by_checksum_mode(benchmark):
     assert off.goodput_mb_s < 9.0
 
 
-def test_ethernet_throughput_wire_limited(benchmark):
-    result = once(benchmark, lambda: run_bulk_throughput(
-        total_bytes=120_000, network="ethernet"))
+def test_ethernet_throughput_wire_limited():
+    result = run_bulk_throughput(total_bytes=120_000, network="ethernet")
     print(f"\nEthernet bulk goodput: {result.goodput_mb_s:.2f} MB/s "
           f"(wire ceiling 1.25 MB/s)")
     assert result.goodput_mb_s < 1.25

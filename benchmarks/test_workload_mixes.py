@@ -6,14 +6,12 @@ reads, and a bulk-heavy mix — are run against the kernel variants to
 show which optimization matters for which workload (the designer's-eye
 summary of the whole paper)."""
 
-from conftest import once
-
 from repro.core.report import format_table, pct_change
 from repro.core.workloads import BULKY_MIX, LRPC_MIX, NFS_MIX, run_mix
 from repro.kern.config import ChecksumMode, KernelConfig
 
 
-def test_mix_latency_by_kernel_variant(benchmark):
+def test_mix_latency_by_kernel_variant():
     def run():
         variants = {
             "standard": None,
@@ -31,7 +29,7 @@ def test_mix_latency_by_kernel_variant(benchmark):
             }
         return out
 
-    out = once(benchmark, run)
+    out = run()
 
     rows = []
     for mix_name, by_variant in out.items():

@@ -57,15 +57,20 @@ Table 1 ATM column as the baseline of Tables 4, 6 and 7.
 Performance (see :mod:`repro.perf` and the README's "Performance"
 section):
 
-* ``python -m repro bench [--label L] [--quick] [--strict]
-  [--baseline FILE] [--tolerance PCT]`` — run the wall-time regression
-  harness, write ``BENCH_<label>.json`` and compare against the
-  committed ``benchmarks/baseline.json``.
+* ``python -m repro bench`` — print the exact work counters (events,
+  CPU jobs, mbufs, cells, segments, ...) of six fixed runs as JSON.
+  ``tests/test_perf_bench.py`` holds them equal to the committed
+  ``benchmarks/counts.json``; ``python -m repro bench >
+  benchmarks/counts.json`` rewrites it.
+
+A usage error (unknown option, bad value, missing path) prints one line
+and exits 2.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import sys
 import time
 
@@ -313,6 +318,20 @@ TRACE_TARGETS = {
 }
 
 
+def _count(flag, value) -> int:
+    """``int(value)`` for a size or count flag; ValueError below 1."""
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"{flag} must be at least 1, got {number}")
+    return number
+
+
+def _network(value) -> str:
+    if value not in ("atm", "ethernet"):
+        raise ValueError(f"unknown network {value!r}")
+    return value
+
+
 def _parse_obs_args(args, default_size=8000, default_iters=4):
     """Parse ``[target] [--out F] [--jsonl F] [--flow F] [--size N]
     [--iterations N] [--format FMT] [--rtt K]``."""
@@ -328,8 +347,11 @@ def _parse_obs_args(args, default_size=8000, default_iters=4):
                 raise ValueError(f"{arg} needs a value")
             value = args[i + 1]
             key = arg[2:]
-            opts[key] = int(value) if key in ("size", "iterations",
-                                              "rtt") else value
+            if key in ("size", "iterations"):
+                value = _count(arg, value)
+            elif key == "rtt":
+                value = int(value)
+            opts[key] = value
             i += 2
         elif arg.startswith("-"):
             raise ValueError(f"unknown option {arg}")
@@ -527,10 +549,12 @@ def _parse_finding_args(tool, args, extra_flags=()):
             paths.append(args[i])
             i += 1
     if not paths:
-        import os
-
         import repro
         paths = [os.path.dirname(os.path.abspath(repro.__file__))]
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        print(f"{tool}: no such file or directory: {' '.join(missing)}")
+        return None
     return paths, fmt, flags
 
 
@@ -613,6 +637,8 @@ def cmd_sanitize(args) -> int:
 def cmd_racecheck(args) -> int:
     """``python -m repro racecheck [target] [--size N] ...``."""
     from repro.analysis import DEFAULT_PERTURBATIONS, racecheck_round_trip
+    from repro.sim import SchedulingError
+    from repro.sim.engine import tiebreak_keyfn
 
     tiebreaks = list(DEFAULT_PERTURBATIONS)
     rest = []
@@ -630,7 +656,9 @@ def cmd_racecheck(args) -> int:
             i += 1
     try:
         opts = _parse_obs_args(rest, default_size=1400, default_iters=4)
-    except ValueError as error:
+        for policy in tiebreaks:
+            tiebreak_keyfn(policy)
+    except (ValueError, SchedulingError) as error:
         print(f"racecheck: {error}")
         return 2
     target = opts["target"] or "table1"
@@ -682,13 +710,14 @@ def cmd_chaos(args) -> int:
                 if arg == "--seed":
                     seed = int(value)
                 elif arg == "--network":
-                    network = value
+                    network = _network(value)
                 elif arg == "--losses":
                     losses = [float(x) for x in value.split(",") if x]
                 elif arg == "--sizes":
-                    sizes = [int(x) for x in value.split(",") if x]
+                    sizes = [_count(arg, x) for x in value.split(",")
+                             if x]
                 else:
-                    iterations = int(value)
+                    iterations = _count(arg, value)
             except ValueError:
                 print(f"chaos: bad value for {arg}: {value!r}")
                 return 2
@@ -724,7 +753,6 @@ def cmd_fuzz(args) -> int:
     drop accounting.
     """
     import glob
-    import os
 
     from repro.analysis.findings import Finding, Severity
     from repro.chaos.triage import (campaign_findings, replay_case,
@@ -754,7 +782,7 @@ def cmd_fuzz(args) -> int:
                 elif arg == "--save":
                     save_dir = value
                 elif arg == "--network":
-                    network = value
+                    network = _network(value)
                 elif arg == "--seed":
                     base_seed = int(value)
                 elif value in FINDING_FORMATS:
@@ -772,6 +800,9 @@ def cmd_fuzz(args) -> int:
             return 2
 
     if replay is not None:
+        if not os.path.exists(replay):
+            print(f"fuzz: --replay: no such file or directory: {replay}")
+            return 2
         cases = (sorted(glob.glob(os.path.join(replay, "*.json")))
                  if os.path.isdir(replay) else [replay])
         findings = []
@@ -808,116 +839,18 @@ def cmd_fuzz(args) -> int:
         fmt, [f"campaign seed={base_seed} seeds={seeds}"])
 
 
-def _default_baseline_path():
-    """The committed baseline matching this run's execution path.
-
-    ``benchmarks/baseline_native.json`` when the compiled core is in
-    use, ``benchmarks/baseline.json`` for the pure interpreter —
-    resolved from the cwd or the repo checkout.  Comparing across
-    paths is a multi-x gap by construction, so each path keeps its
-    own trajectory (an explicit ``--baseline`` still wins, and
-    ``write_report`` warns on a path mismatch rather than comparing).
-    """
-    import os
-    from repro.perf.native import NATIVE_IN_USE
-    name = "baseline_native.json" if NATIVE_IN_USE else "baseline.json"
-    candidate = os.path.join("benchmarks", name)
-    if os.path.exists(candidate):
-        return candidate
-    import repro
-    pkg_root = os.path.dirname(os.path.abspath(repro.__file__))
-    candidate = os.path.join(os.path.dirname(os.path.dirname(pkg_root)),
-                             "benchmarks", name)
-    return candidate if os.path.exists(candidate) else None
-
-
-def _bench_both(args) -> int:
-    """``repro bench --both``: one native and one pure subprocess.
-
-    Each child is a fresh interpreter because the execution path is
-    chosen once at import time (repro.perf.native); flipping
-    REPRO_NATIVE in-process would have no effect.
-    """
-    import os
-    import subprocess
-    import sys
-
-    worst = 0
-    for label, flag in (("native", "1"), ("pure", "0")):
-        env = dict(os.environ, REPRO_NATIVE=flag)
-        rc = subprocess.call(
-            [sys.executable, "-m", "repro", "bench", "--label", label]
-            + args, env=env)
-        if rc == 2:
-            return 2
-        worst = max(worst, rc)
-    return worst
-
-
 def cmd_bench(args) -> int:
-    """``python -m repro bench [--label L] [--quick] [--strict]
-    [--both] ...``."""
-    from repro.perf.bench import (
-        DEFAULT_TOLERANCE_PCT,
-        format_report,
-        run_benchmarks,
-        write_report,
-    )
+    """``python -m repro bench`` — the exact work counters of six fixed
+    runs as indented, key-sorted JSON (``benchmarks/counts.json``)."""
+    if args:
+        print(f"bench: takes no arguments, got {' '.join(args)}")
+        return 2
+    import json
 
-    label, out, baseline = "local", None, None
-    tolerance = DEFAULT_TOLERANCE_PCT
-    quick = strict = both = False
-    passthrough = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg in ("--label", "--out", "--baseline", "--tolerance"):
-            if i + 1 >= len(args):
-                print(f"bench: {arg} needs a value")
-                return 2
-            value = args[i + 1]
-            if arg == "--label":
-                label = value
-            elif arg == "--out":
-                out = value
-            elif arg == "--baseline":
-                baseline = value
-            else:
-                tolerance = float(value)
-            if arg != "--label":
-                passthrough += [arg, value]
-            i += 2
-        elif arg == "--quick":
-            quick = True
-            passthrough.append(arg)
-            i += 1
-        elif arg == "--strict":
-            strict = True
-            passthrough.append(arg)
-            i += 1
-        elif arg == "--both":
-            both = True
-            i += 1
-        else:
-            print(f"bench: unknown argument {arg}")
-            return 2
-    if both:
-        if out is not None:
-            # Both children would write the same file; each path
-            # already writes its own BENCH_<label>.json.
-            print("bench: --out cannot be combined with --both")
-            return 2
-        return _bench_both(passthrough)
-    if baseline is None:
-        baseline = _default_baseline_path()
-    metrics = run_benchmarks(quick=quick)
-    doc = write_report(metrics, label, out_path=out,
-                       baseline_path=baseline, tolerance_pct=tolerance)
-    print(format_report(doc))
-    comparison = doc.get("comparison")
-    regressed = bool(comparison) and any(
-        row["regressed"] for row in comparison["rows"])
-    return 1 if (strict and regressed) else 0
+    from repro.perf.bench import collect
+
+    print(json.dumps(collect(), indent=2, sort_keys=True))
+    return 0
 
 
 def main(argv) -> int:

@@ -12,11 +12,11 @@ actually compare kernels by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SERVER_PORT, payload_pattern
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import Testbed, build_atm_pair, build_ethernet_pair
 from repro.kern.config import KernelConfig
 
 __all__ = ["RPCMix", "MixResult", "LRPC_MIX", "NFS_MIX", "BULKY_MIX",
@@ -145,9 +145,8 @@ class ConnScaleResult:
     """What an N-connection run did, in simulator terms.
 
     ``events_executed`` is the engine's dispatch count for the whole
-    run — the numerator of the bench harness's events/sec metric (the
-    harness supplies the wall-clock denominator; nothing here reads
-    wall time).
+    run.  ``testbed`` is the finished pair, from which ``repro bench``
+    reads its work counters as it does for every other run.
     """
 
     connections: int
@@ -157,6 +156,7 @@ class ConnScaleResult:
     sim_duration_us: float
     segments_received: int
     retransmits: int
+    testbed: Testbed = field(repr=False, compare=False)
 
 
 def run_connection_scale(connections: int, rounds: int = 2,
@@ -254,4 +254,5 @@ def run_connection_scale(connections: int, rounds: int = 2,
         retransmits=sum(c.stats.retransmits
                         for h in tb.hosts
                         for c in h.tcp.connections),
+        testbed=tb,
     )

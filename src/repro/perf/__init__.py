@@ -1,9 +1,10 @@
-"""Performance tooling: the bench harness and the native-core dispatch.
+"""Performance tooling: the work-counter gate and the native-core dispatch.
 
-* :mod:`repro.perf.bench` — the ``repro bench`` wall-time regression
-  harness (hot layers, round trips, Table 1, and connection scale on
-  the hash- and list-PCB kernels) and its committed per-path baselines
-  in ``benchmarks/``;
+* :mod:`repro.perf.bench` — ``repro bench``: the exact work counters
+  (events, CPU jobs, mbufs, cells, segments, PCB scans) of six fixed
+  runs, held equal to the committed ``benchmarks/counts.json`` by
+  ``tests/test_perf_bench.py``.  Wall time is measured by
+  ``perfbench/``;
 * :mod:`repro.perf.native` — import-time dispatch to the optional
   compiled hot core (``REPRO_NATIVE=0|1``).
 

@@ -24,11 +24,10 @@ is zero on both paths.
 from __future__ import annotations
 
 import os
-import sys
 from types import ModuleType
 from typing import Optional
 
-__all__ = ["lib", "NATIVE_AVAILABLE", "NATIVE_IN_USE", "describe"]
+__all__ = ["lib", "NATIVE_AVAILABLE", "NATIVE_IN_USE"]
 
 _FORBID = ("0", "false", "no", "off")
 _REQUIRE = ("1", "true", "yes", "on")
@@ -74,16 +73,3 @@ lib, NATIVE_AVAILABLE = _load()
 
 #: Whether the compiled path is actually in use this process.
 NATIVE_IN_USE: bool = lib is not None
-
-
-def describe() -> dict:
-    """Execution-path metadata for bench reports and diagnostics."""
-    import platform
-
-    return {
-        "native": NATIVE_IN_USE,
-        "native_available": NATIVE_AVAILABLE,
-        "repro_native_env": os.environ.get("REPRO_NATIVE"),
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-    }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import SECTIONS, main
+from repro.core import testbed
 from repro.hw.costs import LinearCost, decstation_5000_200
 from repro.kern.config import ChecksumMode, KernelConfig, PcbLookup
 
@@ -27,16 +28,41 @@ class TestCLI:
         assert "Table 5" in out
         assert "Figure 2" in out
 
-    def test_bench_both_rejects_out(self, capsys, monkeypatch):
-        import subprocess
-
-        def no_child(*args, **kwargs):
-            raise AssertionError("bench --both started a child")
-
-        monkeypatch.setattr(subprocess, "call", no_child)
+    def test_bench_both_rejects_out(self, capsys):
         assert main(["repro", "bench", "--both", "--out", "r.json"]) == 2
-        assert "--out cannot be combined with --both" in \
-            capsys.readouterr().out
+        assert capsys.readouterr().out == \
+            "bench: takes no arguments, got --both --out r.json\n"
+
+    @pytest.mark.parametrize("argv", [
+        *([tool, *bad] for tool in ("trace", "metrics", "explain",
+                                    "racecheck")
+          for bad in (["--size", "0"], ["--size", "-5"],
+                      ["--iterations", "0"])),
+        ["racecheck", "--tiebreaks", "lifo,bogus"],
+        ["racecheck", "--tiebreaks", "shuffle:z"],
+        ["chaos", "--network", "bogus"],
+        ["chaos", "--sizes", "1400,0"],
+        ["chaos", "--iterations", "0"],
+        ["fuzz", "--network", "bogus"],
+        ["fuzz", "--replay", "no/such/case.json"],
+        ["bench", "--quick"],
+    ], ids=" ".join)
+    def test_usage_error_exits_2_with_one_line(self, argv, capsys,
+                                               monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{argv} started a run")
+
+        monkeypatch.setattr(testbed, "Simulator", no_run)
+        assert main(["repro", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{argv[0]}: ") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("tool", ["lint", "sanitize"])
+    def test_finding_tool_rejects_missing_path(self, tool, capsys,
+                                               tmp_path):
+        assert main(["repro", tool, str(tmp_path), "no/such/path"]) == 2
+        assert capsys.readouterr().out == \
+            f"{tool}: no such file or directory: no/such/path\n"
 
     def test_all_sections_registered(self):
         for name in ("table1", "table2", "table3", "table4", "table5",

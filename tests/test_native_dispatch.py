@@ -2,7 +2,7 @@
 
 Two families of checks:
 
-* dispatch mechanics — ``REPRO_NATIVE`` policy, metadata, and the
+* dispatch mechanics — ``REPRO_NATIVE`` policy and the
   subprocess smoke that flips the env var (selection happens at import
   time, so it can only be observed from a fresh interpreter);
 * native/pure equivalence — the compiled functions must return values
@@ -36,14 +36,6 @@ requires_native_in_use = pytest.mark.skipif(
 # ----------------------------------------------------------------------
 # Dispatch mechanics
 # ----------------------------------------------------------------------
-def test_describe_reports_execution_path():
-    meta = native_dispatch.describe()
-    assert meta["native"] == native_dispatch.NATIVE_IN_USE
-    assert meta["native_available"] == native_dispatch.NATIVE_AVAILABLE
-    assert meta["python"] == sys.version.split()[0]
-    assert meta["implementation"]
-
-
 def test_in_use_implies_available():
     if native_dispatch.NATIVE_IN_USE:
         assert native_dispatch.NATIVE_AVAILABLE

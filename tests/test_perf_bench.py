@@ -1,81 +1,57 @@
-"""Bench harness report/comparison logic (no heavy timing here)."""
+"""The work gate: ``repro bench`` counts equal ``benchmarks/counts.json``.
 
+The simulator is deterministic, so every counter of every fixed run is
+an exact number.  A change that moves one fails here, naming the run
+and the counter; if the move is intended, rewrite the file with
+``python -m repro bench > benchmarks/counts.json`` and say why in
+CHANGES.md.
+"""
+
+import contextlib
+import io
 import json
+import pathlib
 
-import repro.perf.native as native_dispatch
-from repro.perf.bench import (
-    compare_to_baseline,
-    format_report,
-    write_report,
-)
+import pytest
 
+from repro.__main__ import main
+from repro.perf.bench import PATH_DEPENDENT, RUNS
+from repro.perf.native import NATIVE_IN_USE
 
-def test_direction_aware_regression_detection():
-    baseline = {"eventloop_deep_events_per_sec": 1000.0,
-                "rtt_1400_wall_ms": 10.0,
-                "table1_cold_serial_wall_s": 2.0}
-    metrics = {"eventloop_deep_events_per_sec": 700.0,   # -30% thpt: bad
-               "rtt_1400_wall_ms": 13.0,                 # +30% wall: bad
-               "table1_cold_serial_wall_s": 1.0,         # -50% wall: good
-               "brand_new_metric_per_sec": 5.0}          # no baseline
-    rows = {r["metric"]: r for r in
-            compare_to_baseline(metrics, baseline, tolerance_pct=20.0)}
-    assert rows["eventloop_deep_events_per_sec"]["regressed"]
-    assert rows["rtt_1400_wall_ms"]["regressed"]
-    assert not rows["table1_cold_serial_wall_s"]["regressed"]
-    assert "brand_new_metric_per_sec" not in rows  # skipped, not crashed
+COUNTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / \
+    "counts.json"
+
+#: The file holds the pure engine's events; the compiled core never
+#: takes the uncontended-charge shortcut (DESIGN.md §7).
+SKIPPED = PATH_DEPENDENT if NATIVE_IN_USE else frozenset()
 
 
-def test_tolerance_band_swallows_noise():
-    baseline = {"cpu_jobs_per_sec": 1000.0}
-    rows = compare_to_baseline({"cpu_jobs_per_sec": 850.0}, baseline,
-                               tolerance_pct=20.0)
-    assert not rows[0]["regressed"]  # -15% is inside the band
-    rows = compare_to_baseline({"cpu_jobs_per_sec": 850.0}, baseline,
-                               tolerance_pct=10.0)
-    assert rows[0]["regressed"]
+@pytest.fixture(scope="module")
+def committed():
+    return json.loads(COUNTS.read_text(encoding="utf-8"))
 
 
-def test_write_report_round_trips_and_compares(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(
-        {"label": "seed", "native": native_dispatch.NATIVE_IN_USE,
-         "metrics": {"cpu_jobs_per_sec": 100.0}}))
-    out = tmp_path / "BENCH_x.json"
-    doc = write_report({"cpu_jobs_per_sec": 250.0}, "x",
-                       out_path=str(out),
-                       baseline_path=str(baseline_path))
-    on_disk = json.loads(out.read_text())
-    assert on_disk["metrics"]["cpu_jobs_per_sec"] == 250.0
-    assert on_disk["native"] == native_dispatch.NATIVE_IN_USE
-    assert on_disk["implementation"]
-    assert on_disk["comparison"]["baseline_label"] == "seed"
-    assert on_disk["comparison"]["rows"][0]["change_pct"] == 150.0
-    assert not on_disk["comparison"]["rows"][0]["regressed"]
-    text = format_report(doc)
-    assert "cpu_jobs_per_sec" in text and "OK: within tolerance" in text
+@pytest.fixture(scope="module")
+def fresh():
+    """One collection through the CLI, parsed from its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["repro", "bench"]) == 0
+    return json.loads(out.getvalue())
 
 
-def test_path_mismatch_warns_instead_of_comparing(tmp_path):
-    """A native run is never held to a pure baseline (or vice versa)."""
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(
-        {"label": "seed", "native": not native_dispatch.NATIVE_IN_USE,
-         "metrics": {"cpu_jobs_per_sec": 100.0}}))
-    out = tmp_path / "BENCH_z.json"
-    doc = write_report({"cpu_jobs_per_sec": 900.0}, "z",
-                       out_path=str(out),
-                       baseline_path=str(baseline_path))
-    assert doc["comparison"]["rows"] == []
-    assert "path_mismatch" in doc["comparison"]
-    text = format_report(doc)
-    assert "WARNING: not compared" in text
-    assert "OK: within tolerance" not in text
+def test_counts_file_holds_the_six_runs(committed, fresh):
+    assert sorted(committed) == sorted(RUNS) == sorted(fresh)
 
 
-def test_missing_baseline_omits_comparison(tmp_path):
-    out = tmp_path / "BENCH_y.json"
-    doc = write_report({"cpu_jobs_per_sec": 1.0}, "y", out_path=str(out),
-                       baseline_path=str(tmp_path / "nope.json"))
-    assert doc["comparison"] is None
-    assert "report ->" in format_report(doc)
+@pytest.mark.parametrize("run", list(RUNS))
+def test_run_does_the_committed_work(run, committed, fresh):
+    expected, got = committed[run], fresh[run]
+    assert sorted(got) == sorted(expected), f"{run}: counter set changed"
+    moved = {name: f"{expected[name]} -> {got[name]}"
+             for name in sorted(expected)
+             if name not in SKIPPED and got[name] != expected[name]}
+    assert not moved, (
+        f"{run}: counters moved {moved}; if intended, rewrite "
+        f"benchmarks/counts.json with `python -m repro bench` and say "
+        f"why in CHANGES.md")
