@@ -191,16 +191,9 @@ def digest_round_trip(network: str = "atm",
         counters[f"{prefix}.cpu.busy_ns"] = host.cpu.busy_ns
         counters[f"{prefix}.cpu.jobs"] = host.cpu.jobs_completed
         counters[f"{prefix}.cpu.preemptions"] = host.cpu.preemptions
-        for conn in host.tcp.connections:
-            stats = conn.stats
-            counters[f"{prefix}.tcp.segs_sent"] = \
-                counters.get(f"{prefix}.tcp.segs_sent", 0) + stats.segs_sent
-            counters[f"{prefix}.tcp.segs_received"] = \
-                counters.get(f"{prefix}.tcp.segs_received", 0) \
-                + stats.segs_received
-            counters[f"{prefix}.tcp.retransmits"] = \
-                counters.get(f"{prefix}.tcp.retransmits", 0) \
-                + stats.retransmits
+        conns = host.tcp.connection_stats()
+        for fname in ("segs_sent", "segs_received", "retransmits"):
+            counters[f"{prefix}.tcp.{fname}"] = getattr(conns, fname)
 
     violations = list(hooks.violations)
     for host in testbed.hosts:

@@ -11,8 +11,9 @@ Two levels of fidelity are provided:
 * *Arithmetic* (:func:`cells_needed`) — cell counts for cost models and
   wire timing; used on every packet.
 * *Functional* (:class:`Aal34Codec`) — real segmentation with real
-  CRC-10s, used when fault injection needs real error-detection
-  behaviour (``KernelConfig.model_cell_crc``).
+  CRC-10s, run by link-stage fault injection
+  (:meth:`repro.faults.FaultInjector.apply_link`) for real
+  error-detection behaviour.
 """
 
 from __future__ import annotations

@@ -189,12 +189,8 @@ class ForeTca100:
 
         self.stats.packets_sent += 1
         self.stats.cells_sent += n
-        metrics = self.host.metrics
-        if metrics is not None:
-            metrics.inc("atm.packets_sent")
-            metrics.inc("atm.cells_sent", n)
-            if stall_ns > 0:
-                metrics.inc("atm.tx_stalls")
+        if stall_ns > 0 and self.host.metrics is not None:
+            self.host.metrics.inc("atm.tx_stalls")
 
         wire_bytes, wire_fault = self._apply_wire_faults(packet)
         peer = link.peer_of(self)
@@ -235,8 +231,6 @@ class ForeTca100:
             # retransmission timer recovers.
             self._rx_fifo_cells -= n_cells
             self.stats.rx_fifo_overflows += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("atm.rx_fifo_overflows")
             if self.host.lineage is not None:
                 self.host.lineage.mark_dropped_pdu(pdu, "rx-fifo-overflow")
             return
@@ -271,9 +265,6 @@ class ForeTca100:
         self._rx_fifo_cells -= n_cells
         self.stats.packets_received += 1
         self.stats.cells_received += n_cells
-        if host.metrics is not None:
-            host.metrics.inc("atm.packets_received")
-            host.metrics.inc("atm.cells_received", n_cells)
 
         span = "rx.atm" if data_bearing else "rx.ack.atm"
         wait_us = (host.sim.now - arrived_at) / 1000.0
@@ -295,8 +286,6 @@ class ForeTca100:
         # retransmission timer recovers.
         if wire_fault is not None and wire_fault.detected_by_link_check:
             self.stats.aal_errors += 1
-            if host.metrics is not None:
-                host.metrics.inc("atm.aal_errors")
             if lin is not None:
                 lin.mark_dropped(seg_rec, "aal")
             return

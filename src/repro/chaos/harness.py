@@ -203,24 +203,11 @@ def run_chaos_cell(size: int = 1400, loss: float = 0.0,
             if hasattr(stats, fname):
                 result.counters[f"{prefix}.iface.{fname}"] = \
                     getattr(stats, fname)
-        for conn in host.tcp.connections:
-            cs = conn.stats
-            result.retransmits += cs.retransmits
-            result.counters[f"{prefix}.tcp.segs_sent"] = \
-                result.counters.get(f"{prefix}.tcp.segs_sent", 0) \
-                + cs.segs_sent
-            result.counters[f"{prefix}.tcp.segs_received"] = \
-                result.counters.get(f"{prefix}.tcp.segs_received", 0) \
-                + cs.segs_received
-            result.counters[f"{prefix}.tcp.retransmits"] = \
-                result.counters.get(f"{prefix}.tcp.retransmits", 0) \
-                + cs.retransmits
-            result.counters[f"{prefix}.tcp.persist_probes"] = \
-                result.counters.get(f"{prefix}.tcp.persist_probes", 0) \
-                + cs.persist_probes
-            result.counters[f"{prefix}.tcp.mbuf_drops"] = \
-                result.counters.get(f"{prefix}.tcp.mbuf_drops", 0) \
-                + cs.mbuf_drops
+        conns = host.tcp.connection_stats()
+        result.retransmits += conns.retransmits
+        for fname in ("segs_sent", "segs_received", "retransmits",
+                      "persist_probes", "mbuf_drops"):
+            result.counters[f"{prefix}.tcp.{fname}"] = getattr(conns, fname)
     for name, value in result.injected.items():
         result.counters[f"chaos.{name}"] = value
     return result

@@ -141,25 +141,17 @@ def _collect_counters(testbed, fuzzer: PacketFuzzer) -> Dict[str, int]:
         istats = host.ip.stats
         for fname in istats.__slots__:
             counters[f"{prefix}.ipstat.{fname}"] = getattr(istats, fname)
-        for conn in host.tcp.connections:
-            for fname, value in conn.stats.as_dict().items():
-                key = f"{prefix}.tcp.{fname}"
-                counters[key] = counters.get(key, 0) + value
-    # Link-wide rollups the corpus expectations key on (getattr-style
-    # sums so the harness also runs against a pre-hardening stack
-    # where the slots may not exist yet).
-    for short, slot_host, slot in (("tcp.bad_segments", "tcp", "bad_segments"),
-                                   ("tcp.rst_dropped", "tcp", "rst_dropped"),
-                                   ("tcp.bad_options", "tcp", "bad_options"),
-                                   ("ip.bad_headers", "ip", "bad_headers")):
-        total = 0
-        for host in testbed.hosts:
-            layer = getattr(host, slot_host)
-            total += getattr(layer.stats, slot, 0)
-            if slot_host == "tcp":
-                for conn in host.tcp.connections:
-                    total += getattr(conn.stats, slot, 0)
-        counters[short] = total
+        for fname, value in host.tcp.connection_stats().as_dict().items():
+            counters[f"{prefix}.tcp.{fname}"] = value
+    # Link-wide rollups the corpus expectations key on: the drops no
+    # connection owned plus every connection's, closed and live.
+    names = [host.name for host in testbed.hosts]
+    for fname in ("bad_segments", "rst_dropped", "bad_options"):
+        counters[f"tcp.{fname}"] = sum(
+            counters[f"{name}.tcpstat.{fname}"]
+            + counters[f"{name}.tcp.{fname}"] for name in names)
+    counters["ip.bad_headers"] = sum(counters[f"{name}.ipstat.bad_headers"]
+                                     for name in names)
     return counters
 
 

@@ -65,7 +65,7 @@ def run_error_study(size: int = 1400, iterations: int = 60,
                     network: str = "atm",
                     seed: int = 1994) -> ErrorStudyResult:
     """Run the echo benchmark under fault injection and count detections."""
-    config = KernelConfig(checksum_mode=checksum_mode, model_cell_crc=True)
+    config = KernelConfig(checksum_mode=checksum_mode)
     if network == "atm":
         testbed = build_atm_pair(config=config)
     else:
@@ -88,7 +88,6 @@ def run_error_study(size: int = 1400, iterations: int = 60,
     out.caught_by_tcp_checksum = (client.tcp.stats.cksum_errors
                                   + server.tcp.stats.cksum_errors)
     out.caught_by_application = result.echo_errors
-    for host in (client, server):
-        for conn in host.tcp.connections:
-            out.retransmissions += conn.stats.retransmits
+    out.retransmissions = sum(host.tcp.connection_stats().retransmits
+                              for host in (client, server))
     return out

@@ -46,8 +46,8 @@ class RoundTripResult:
     server_stats: Optional[dict] = None
     echo_errors: int = 0
     #: SpanTracer snapshots taken just before the warmup reset, so the
-    #: connection-setup/warmup spans survive (mergeable via
-    #: SpanTracer.merge for whole-run aggregation).
+    #: connection-setup/warmup spans survive (Observer.merge_spans folds
+    #: them in with SpanStats.merge for whole-run aggregation).
     warmup_client_spans: Optional[Dict[str, dict]] = None
     warmup_server_spans: Optional[Dict[str, dict]] = None
 

@@ -15,8 +15,7 @@ from typing import Dict, List, Tuple
 
 from repro.sim.engine import to_us
 
-__all__ = ["CATEGORY_PATTERNS", "profile_host", "format_profile",
-           "profile_to_metrics"]
+__all__ = ["CATEGORY_PATTERNS", "profile_host", "format_profile"]
 
 #: Ordered (category, substring-patterns) mapping; first match wins.
 CATEGORY_PATTERNS: List[Tuple[str, Tuple[str, ...]]] = [
@@ -38,24 +37,16 @@ def categorize(label: str) -> str:
 
 
 def profile_host(host) -> Dict[str, float]:
-    """CPU microseconds per category for one host."""
+    """CPU microseconds per category for one host.
+
+    An observer publishes each category as a ``cpu.us.<category>``
+    gauge (:meth:`repro.obs.observer.Observer.collect`).
+    """
     out: Dict[str, float] = {}
     for label, busy_ns in host.cpu.busy_by_label.items():
         category = categorize(label)
         out[category] = out.get(category, 0.0) + to_us(busy_ns)
     return out
-
-
-def profile_to_metrics(host, metrics) -> None:
-    """Feed the cycles profile into the observability pipeline.
-
-    Called by :meth:`repro.obs.observer.Observer.collect`: each
-    category becomes a ``cpu.us.<category>`` gauge on the host's
-    metrics scope, so the Kay & Pasquale-style consumption breakdown
-    exports alongside the latency spans and protocol counters.
-    """
-    for category, usec in profile_host(host).items():
-        metrics.set_gauge(f"cpu.us.{category}", usec)
 
 
 def format_profile(host, title: str = "") -> str:

@@ -251,8 +251,7 @@ def run_connection_scale(connections: int, rounds: int = 2,
         sim_duration_us=tb.sim.now / 1000.0,
         segments_received=sum(h.tcp.stats.segs_received
                               for h in tb.hosts),
-        retransmits=sum(c.stats.retransmits
-                        for h in tb.hosts
-                        for c in h.tcp.connections),
+        retransmits=sum(h.tcp.connection_stats().retransmits
+                        for h in tb.hosts),
         testbed=tb,
     )

@@ -153,9 +153,6 @@ class LanceEthernet:
 
         self.stats.frames_sent += 1
         self.stats.bytes_sent += length
-        if host.metrics is not None:
-            host.metrics.inc("ether.frames_sent")
-            host.metrics.inc("ether.bytes_sent", length)
 
         wire_bytes = packet.data
         wire_fault = None
@@ -181,8 +178,6 @@ class LanceEthernet:
             # RX ring overrun: no free descriptor, the LANCE drops the
             # frame.  TCP's retransmission timer recovers.
             self.stats.rx_overruns += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("ether.rx_overruns")
             if self.host.lineage is not None:
                 self.host.lineage.mark_dropped_pdu(frame_payload,
                                                    "rx-ring-overrun")
@@ -225,14 +220,9 @@ class LanceEthernet:
                             wait_us)
         self.stats.frames_received += 1
         self.stats.bytes_received += len(frame_payload)
-        if host.metrics is not None:
-            host.metrics.inc("ether.frames_received")
-            host.metrics.inc("ether.bytes_received", len(frame_payload))
         if wire_fault is not None and wire_fault.detected_by_link_check:
             # The Ethernet CRC caught it: frame dropped by the adapter.
             self.stats.fcs_errors += 1
-            if host.metrics is not None:
-                host.metrics.inc("ether.fcs_errors")
             if lin is not None:
                 lin.mark_dropped(seg_rec, "fcs")
             return

@@ -83,8 +83,6 @@ class IPLayer:
                 priority, "ip_output", span=span,
                 lineage=fragment.lineage)
             self.stats.sent += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("ip.sent")
             if self.host.packet_log is not None:
                 self.host.packet_log.record(self.host.name, "tx", fragment,
                                             self.host.sim.now / 1000.0)
@@ -96,8 +94,6 @@ class IPLayer:
     def input(self, packet: Packet) -> Generator:
         """ipintr body for one datagram (SOFT_INTR context)."""
         self.stats.received += 1
-        if self.host.metrics is not None:
-            self.host.metrics.inc("ip.received")
         costs = self.host.costs
         try:
             data_bearing = len(packet.payload) > 0
@@ -117,8 +113,6 @@ class IPLayer:
             # A corrupted header: caught by the IP header checksum (or
             # unparseable outright); the datagram is silently dropped.
             self.stats.hdr_cksum_errors += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("ip.hdr_cksum_errors")
             if self.host.lineage is not None:
                 self.host.lineage.mark_dropped(packet.lineage,
                                                "ip-hdr-cksum")
@@ -130,8 +124,6 @@ class IPLayer:
         total_length = ip_hdr.total_length
         if total_length < IP_HEADER_LEN or total_length > len(packet.data):
             self.stats.bad_headers += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("ip.bad_headers")
             if self.host.lineage is not None:
                 self.host.lineage.mark_dropped(packet.lineage,
                                                "ip-bad-length")

@@ -80,9 +80,6 @@ class KernelConfig:
     #: Number of partial-checksum chunks per mbuf (§4.1.1 alternative:
     #: 'split the data in an mbuf into smaller chunks').
     partial_chunks_per_mbuf: int = 1
-    #: Compute AAL3/4 per-cell CRCs functionally.  Off by default for
-    #: speed; fault-injection experiments turn it on.
-    model_cell_crc: bool = False
     #: Whether UDP computes its (optional) checksum.  ULTRIX-era
     #: deployments commonly disabled it for local NFS traffic (§4.2).
     udp_checksum: bool = True

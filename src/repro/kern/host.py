@@ -65,8 +65,10 @@ class Host:
         self.packet_log = None
         #: Observability pipeline (see repro.obs): a ScopedMetrics view
         #: and the owning Observer, both installed by Observer.attach().
-        #: None by default — every instrumentation point in the stack
-        #: guards on it, so unobserved runs pay one attribute read.
+        #: The view takes only the counts no stats object keeps
+        #: (prediction hits, interrupts, stalls); the observer publishes
+        #: the stats themselves at collect.  None by default — each live
+        #: site guards on it, so unobserved runs pay one attribute read.
         self.metrics = None
         self.observer = None
         #: Causal lineage recorder and flow telemetry

@@ -61,8 +61,6 @@ class ProcessScheduler:
         recorded under that name (the paper's Wakeup row).
         """
         self.sleeps += 1
-        if self.metrics is not None:
-            self.metrics.inc("sched.sleeps")
         wake_time_ns = yield self._channel(chan).wait()
         # Placed on the run queue: now compete for the CPU to switch in.
         cpu = self.cpu
@@ -96,8 +94,6 @@ class ProcessScheduler:
         if signal is None or signal.waiter_count == 0:
             return
         self.wakeups += 1
-        if self.metrics is not None:
-            self.metrics.inc("sched.wakeups")
         cpu = self.cpu
         job = cpu.run(int(self.costs.wakeup_us * 1000), priority, "wakeup")
         if not cpu.finish(job):

@@ -74,13 +74,9 @@ class SoftNet:
         the enqueue itself are part of the driver's receive cost.
         """
         self.enqueued += 1
-        if self.metrics is not None:
-            self.metrics.inc("ipq.enqueued")
         if len(self._queue) >= self.ipq_limit:
             # IP input queue overflow: silently dropped, as in BSD.
             self.dropped_full += 1
-            if self.metrics is not None:
-                self.metrics.inc("ipq.dropped_full")
             if self.lineage is not None:
                 self.lineage.mark_dropped(packet.lineage, "ipq-overflow")
             return

@@ -284,18 +284,14 @@ class MbufPool:
         self.allocated = 0
         self.freed = 0
         self.cluster_allocated = 0
-        #: Allocations (or admission checks) refused by :attr:`limit`;
-        #: exported as ``mbuf.denied`` when a metrics scope is attached.
+        #: Allocations (or admission checks) refused by :attr:`limit`.
         self.denied = 0
         self.high_water = 0
         #: Free-list bookkeeping: headers handed back out instead of
-        #: freshly constructed.  Exported as ``mbuf.allocations`` /
-        #: ``mbuf.reuses`` when a metrics scope is attached.
+        #: freshly constructed.  An observer publishes ``allocated``,
+        #: ``reused`` and ``denied`` as ``mbuf.*`` at collect.
         self.reused = 0
         self._free: List[Mbuf] = []
-        #: ScopedMetrics view, installed by Observer.attach_host();
-        #: None (one attribute test per operation) when unobserved.
-        self.metrics: Any = None
 
     @property
     def free_list_depth(self) -> int:
@@ -325,8 +321,6 @@ class MbufPool:
             # before a header enters the free list, and __init__ starts
             # them cleared.
             self.reused += 1
-            if self.metrics is not None:
-                self.metrics.inc("mbuf.reuses")
             return mbuf
         return Mbuf(data=data, cluster=cluster)
 
@@ -341,8 +335,6 @@ class MbufPool:
         limit = self.limit
         if limit is not None and self.in_use + extra > limit:
             self.denied += 1
-            if self.metrics is not None:
-                self.metrics.inc("mbuf.denied")
             raise MbufExhausted(
                 f"pool limit {limit} reached "
                 f"({self.in_use} in use, {extra} requested)")
@@ -368,15 +360,12 @@ class MbufPool:
         """Counting admission check for driver receive paths.
 
         Like :meth:`can_admit`, but a refusal is recorded in
-        :attr:`denied` / the ``mbuf.denied`` metric — this is the
-        IF_DROP a real driver takes when ``MGET`` fails for an
-        incoming datagram.
+        :attr:`denied` — this is the IF_DROP a real driver takes when
+        ``MGET`` fails for an incoming datagram.
         """
         if self.can_admit(nbytes, use_clusters):
             return True
         self.denied += 1
-        if self.metrics is not None:
-            self.metrics.inc("mbuf.denied")
         return False
 
     # ------------------------------------------------------------------
@@ -443,8 +432,6 @@ class MbufPool:
         self.high_water = max(self.high_water, self.in_use)
         if self.sanitizer is not None:
             self.sanitizer.note_alloc(mbuf, cluster=cluster)
-        if self.metrics is not None:
-            self.metrics.inc("mbuf.allocations")
 
     # ------------------------------------------------------------------
     # Chain builders (the socket layer's copyin policy)

@@ -6,9 +6,10 @@ of reading a 40 ns clock at layer boundaries — but exportable:
 * :mod:`repro.obs.hooks` — the :class:`SimHooks` protocol the event
   kernel and CPU model fire (``NoopHooks``/``None`` = zero overhead);
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
-  histograms incremented throughout TCP/IP/driver/scheduler code;
+  histograms;
 * :mod:`repro.obs.observer` — the :class:`Observer` that attaches to a
-  testbed and accumulates slices, spans, packets and metrics;
+  testbed, accumulates slices, spans and packets, and publishes the
+  stack's own stats objects as metrics;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto),
   JSONL streams, plain-text and CSV dumps;
 * :mod:`repro.obs.lineage` — causal packet lineage: every user write,

@@ -1,16 +1,20 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
-The time-series side of the observability pipeline (the latency *spans*
-live in :class:`repro.sim.trace.SpanTracer`; this module holds
-everything countable).  Instrumentation points throughout the stack —
-TCP segments in/out, header-prediction hits, IP input-queue drops,
-cells and interrupts per interface, context switches — increment
-metrics on their host's :class:`ScopedMetrics` view, all of which share
-one :class:`MetricsRegistry` so a run's numbers export together.
+The countable side of the observability pipeline (the latency *spans*
+live in :class:`repro.sim.trace.SpanTracer`).  The stack counts each
+event once, in its own stats objects (``IPStats``, ``TCPLayerStats``,
+``ConnectionStats``, the interface, IP-queue, scheduler, mbuf-pool and
+CPU counters); :meth:`repro.obs.observer.Observer.collect` publishes
+those as gauges.  Live counters and histograms hold only what no stat
+records — header-prediction hits and misses, interrupts, ATM transmit
+stalls, context switches, IP-queue depth and wait, wakeup latency and
+the chaos/fuzz injections — on their host's :class:`ScopedMetrics`
+view.  All views share one :class:`MetricsRegistry`, so a run's numbers
+export together.
 
-Every instrumentation point is guarded by an ``is not None`` check on
-the host's ``metrics`` attribute, so the default (unobserved) run pays
-a single attribute read per site.
+Every live instrumentation point is guarded by an ``is not None`` check
+on its ``metrics`` attribute, so the default (unobserved) run pays a
+single attribute read per site.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ class MetricsRegistry:
     """All metrics of one observed run, keyed by dotted name.
 
     Host-level instrumentation goes through :meth:`scope`, which
-    prefixes names (``client.tcp.segs_in``) while sharing this
+    prefixes names (``client.tcp.predict.hit``) while sharing this
     registry, so one export covers every host on the testbed.
     """
 
@@ -214,7 +218,7 @@ class ScopedMetrics:
     """A named-prefix view of a :class:`MetricsRegistry`.
 
     Hosts hold one of these as ``host.metrics`` so stack code can write
-    ``m.inc("tcp.segs_in")`` and land on ``client.tcp.segs_in``.
+    ``m.inc("atm.interrupts")`` and land on ``client.atm.interrupts``.
     """
 
     __slots__ = ("registry", "prefix")

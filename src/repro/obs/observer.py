@@ -12,8 +12,10 @@ to see everything the paper's measurement methodology sees — and more:
   ``tx.user`` ... ``rx.wakeup`` rows) and
   :class:`~repro.core.packetlog.PacketLog` packets into the same event
   stream;
-* it snapshots final stats (adapter counters, CPU cycles profile, TCP
-  layer counters) when :meth:`collect` is called at end of run.
+* it publishes the stack's own counters (``IPStats``, ``TCPLayerStats``,
+  every ``ConnectionStats``, the interface, IP-queue, scheduler, mbuf
+  pool and CPU counters) when :meth:`collect` is called at end of run,
+  so each event the stack counts appears once.
 
 Exporters (:mod:`repro.obs.export`) turn the accumulated state into a
 Chrome ``trace_event`` file, a JSONL event stream, or a plain-text
@@ -30,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.hooks import SimHooks
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.trace import SpanStats
 
 __all__ = ["Observer", "CpuTraceHooks", "TID_HARD_INTR", "TID_SOFT_INTR",
            "TID_KERNEL", "TID_USER", "TID_SPANS", "TID_NET",
@@ -98,11 +101,13 @@ class CpuTraceHooks(SimHooks):
     """SimHooks implementation feeding an :class:`Observer`.
 
     CPU job lifecycle becomes complete ("X") slices on the per-context
-    thread of the owning host; engine lifecycle becomes counters.  A
-    job's slice is opened at start/resume and closed at preempt/finish,
-    so a preempted copy shows up as two slices with the interrupt's
-    slice between them — the paper's "interrupt steals cycles from a
-    user process mid-copy" picture, literally visible in Perfetto.
+    thread of the owning host; engine lifecycle becomes counters (events
+    executed and preemptions are the stack's own, published by
+    :meth:`Observer.collect`).  A job's slice is opened at start/resume
+    and closed at preempt/finish, so a preempted copy shows up as two
+    slices with the interrupt's slice between them — the paper's
+    "interrupt steals cycles from a user process mid-copy" picture,
+    literally visible in Perfetto.
     """
 
     def __init__(self, observer: "Observer"):
@@ -113,9 +118,6 @@ class CpuTraceHooks(SimHooks):
     # --- engine -------------------------------------------------------
     def on_schedule(self, now_ns: int, call: Any) -> None:
         self.observer.metrics.inc("sim.scheduled")
-
-    def on_dispatch(self, now_ns: int, call: Any) -> None:
-        self.observer.metrics.inc("sim.dispatched")
 
     def on_process_start(self, now_ns: int, process: Any) -> None:
         self.observer.metrics.inc("sim.processes_started")
@@ -133,7 +135,6 @@ class CpuTraceHooks(SimHooks):
         self._open[(cpu.name, job.priority)] = (job.name, now_ns)
 
     def on_job_preempt(self, now_ns: int, cpu: Any, job: Any) -> None:
-        self.observer.metrics.inc(f"{cpu.name}.preemptions")
         self._close(now_ns, cpu, job, preempted=True)
 
     def on_job_finish(self, now_ns: int, cpu: Any, job: Any) -> None:
@@ -209,7 +210,6 @@ class Observer:
         host.metrics = scoped
         host.softnet.metrics = scoped
         host.scheduler.metrics = scoped
-        host.pool.metrics = scoped
         if self.lineage is not None:
             host.lineage = self.lineage
             host.scheduler.lineage = self.lineage
@@ -291,74 +291,87 @@ class Observer:
     # End-of-run collection
     # ------------------------------------------------------------------
     def collect(self, testbed=None) -> None:
-        """Fold final per-host state into metrics and span snapshots.
+        """Merge span snapshots and publish the stack's own counters.
 
-        Safe to call repeatedly and across testbeds (multi-run
-        aggregation): span snapshots merge rather than overwrite.
+        The spans of *testbed* (default: every attached testbed) merge
+        into :attr:`spans`.  Every counter is then published once, as a
+        gauge summed over every attached testbed (high-water marks take
+        the maximum), so counts are cumulative across runs and
+        re-collecting is idempotent.
         """
-        from repro.core.profile import profile_to_metrics
         testbeds = [testbed] if testbed is not None else self.testbeds
         for tb in testbeds:
             for host in tb.hosts:
-                scoped = self.metrics.scope(host.name)
                 self.merge_spans(host.name, host.tracer.snapshot())
-                profile_to_metrics(host, scoped)
-                scoped.set_gauge("cpu.busy_us", host.cpu.busy_ns / 1000.0)
-                scoped.set_gauge("cpu.jobs_completed",
-                                 host.cpu.jobs_completed)
-                scoped.set_gauge("cpu.preemptions", host.cpu.preemptions)
-                scoped.set_gauge("ipq.dispatched", host.softnet.dispatched)
-                scoped.set_gauge("ipq.dropped_full",
-                                 host.softnet.dropped_full)
-                iface = host.interface
-                if iface is not None and hasattr(iface, "stats"):
-                    stats = iface.stats
-                    for field in stats.__slots__:
-                        scoped.set_gauge(f"iface.{field}",
-                                         getattr(stats, field))
-                for field in host.tcp.stats.__slots__:
-                    scoped.set_gauge(f"tcpstat.{field}",
-                                     getattr(host.tcp.stats, field))
-                for field in host.ip.stats.__slots__:
-                    scoped.set_gauge(f"ipstat.{field}",
-                                     getattr(host.ip.stats, field))
-                # Input-validation drop totals (layer + per-connection),
-                # the gauges fuzz oracles and operators key on.
-                bad_segments = host.tcp.stats.bad_segments
-                rst_dropped = host.tcp.stats.rst_dropped
-                bad_options = host.tcp.stats.bad_options
-                for conn in host.tcp.connections:
-                    bad_segments += conn.stats.bad_segments
-                    rst_dropped += conn.stats.rst_dropped
-                    bad_options += conn.stats.bad_options
-                scoped.set_gauge("tcp.bad_segments", bad_segments)
-                scoped.set_gauge("tcp.rst_dropped", rst_dropped)
-                scoped.set_gauge("tcp.bad_options", bad_options)
-                scoped.set_gauge("ip.bad_headers", host.ip.stats.bad_headers)
+        totals: Dict[str, float] = {}
+        for tb in self.testbeds:
+            counts = [("sim.events_executed", tb.sim.events_executed)]
             impairments = getattr(tb.link, "impairments", None)
             if impairments is not None:
                 # Injected-impairment totals (link-wide, not per host).
-                for name, value in impairments.stats.as_dict().items():
-                    self.metrics.set_gauge(f"chaos.{name}", value)
+                counts += [(f"chaos.{name}", value) for name, value
+                           in impairments.stats.as_dict().items()]
+            for host in tb.hosts:
+                counts += [(f"{host.name}.{name}", value)
+                           for name, value in _host_counts(host)]
+            for name, value in counts:
+                if name not in totals:
+                    totals[name] = value
+                elif name.endswith(_HIGH_WATER):
+                    totals[name] = max(totals[name], value)
+                else:
+                    totals[name] += value
+        for name, value in totals.items():
+            self.metrics.set_gauge(name, value)
 
     def merge_spans(self, host_name: str,
                     snapshot: Dict[str, dict]) -> None:
         """Merge a SpanTracer snapshot into this observer's aggregate."""
         dst = self.spans.setdefault(host_name, {})
         for name, stats in snapshot.items():
-            cur = dst.get(name)
-            if cur is None:
-                dst[name] = dict(stats)
-                continue
-            total_count = cur["count"] + stats["count"]
-            cur["total_us"] += stats["total_us"]
-            if stats["count"]:
-                if cur["count"] == 0:
-                    cur["min_us"] = stats["min_us"]
-                    cur["max_us"] = stats["max_us"]
-                else:
-                    cur["min_us"] = min(cur["min_us"], stats["min_us"])
-                    cur["max_us"] = max(cur["max_us"], stats["max_us"])
-            cur["count"] = total_count
-            cur["mean_us"] = (cur["total_us"] / total_count
-                              if total_count else 0.0)
+            merged = SpanStats(name)
+            if name in dst:
+                merged.merge(dst[name])
+            merged.merge(stats)
+            dst[name] = merged.as_dict()
+
+
+#: Counter names that are high-water marks, not counts.
+_HIGH_WATER = ("max_tx_fifo_cells", "max_rx_fifo_cells", "rtx_shift_max")
+
+
+def _fields(prefix: str, stats) -> List[Tuple[str, float]]:
+    return [(prefix + name, getattr(stats, name))
+            for name in stats.__slots__]
+
+
+def _host_counts(host) -> List[Tuple[str, float]]:
+    """One host's counters, each read from the object that keeps it."""
+    from repro.core.profile import profile_host
+
+    cpu, softnet, pool = host.cpu, host.softnet, host.pool
+    counts = [("cpu.busy_us", cpu.busy_ns / 1000.0),
+              ("cpu.jobs_completed", cpu.jobs_completed),
+              ("cpu.preemptions", cpu.preemptions)]
+    counts += [(f"cpu.us.{category}", usec)
+               for category, usec in profile_host(host).items()]
+    counts += [("ipq.enqueued", softnet.enqueued),
+               ("ipq.dispatched", softnet.dispatched),
+               ("ipq.dropped_full", softnet.dropped_full),
+               ("sched.sleeps", host.scheduler.sleeps),
+               ("sched.wakeups", host.scheduler.wakeups),
+               ("mbuf.allocated", pool.allocated),
+               ("mbuf.reused", pool.reused),
+               ("mbuf.denied", pool.denied)]
+    iface = host.interface
+    if iface is not None and hasattr(iface, "stats"):
+        counts += _fields("iface.", iface.stats)
+    tcpstat = host.tcp.stats
+    counts += _fields("ipstat.", host.ip.stats) + _fields("tcpstat.", tcpstat)
+    # tcp.*: every connection's counts, closed and live; the
+    # input-validation drops also add the segments no connection owned
+    # (the rollups fuzz expectations key on).
+    conns = host.tcp.connection_stats()
+    for name in ("bad_segments", "rst_dropped", "bad_options"):
+        setattr(conns, name, getattr(conns, name) + getattr(tcpstat, name))
+    return counts + _fields("tcp.", conns)

@@ -78,8 +78,8 @@ def counters(tb: Testbed) -> Dict[str, int]:
                          for h in hosts),
         "tcp_segs_received": sum(h.tcp.stats.segs_received
                                  for h in hosts),
-        "tcp_retransmits": sum(c.stats.retransmits for h in hosts
-                               for c in h.tcp.connections),
+        "tcp_retransmits": sum(h.tcp.connection_stats().retransmits
+                               for h in hosts),
         "pcb_entries_scanned": sum(h.tcp.pcbs.entries_scanned
                                    for h in hosts),
     }

@@ -22,14 +22,14 @@ The tracer is one producer of the unified observability pipeline
 attached it installs itself as :attr:`SpanTracer.sink` and every
 recorded span is additionally streamed as a trace event, so the same
 clock reads that build Tables 2/3 also render as timeline slices in
-``chrome://tracing``/Perfetto.  :meth:`SpanTracer.snapshot` and
-:meth:`SpanTracer.merge` support warmup-reset bookkeeping and multi-run
-aggregation without losing data.
+``chrome://tracing``/Perfetto.  :meth:`SpanTracer.snapshot` keeps the
+warmup aggregate across a :meth:`SpanTracer.reset`, and
+:meth:`SpanStats.merge` folds snapshots together for multi-run
+aggregation.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.sim.clock import ClockCard
@@ -110,12 +110,9 @@ class SpanTracer:
     cleared for steady-state measurement.
     """
 
-    def __init__(self, clock: ClockCard, enabled: bool = True):
+    def __init__(self, clock: ClockCard):
         self.clock = clock
-        self.enabled = enabled
         self._stats: Dict[str, SpanStats] = {}
-        self._raw: Dict[str, List[float]] = defaultdict(list)
-        self.keep_raw = False
         #: Observability pipeline tap: ``sink(name, duration_us, end_us)``.
         self.sink: Optional[Callable[[str, float, float], None]] = None
 
@@ -133,33 +130,14 @@ class SpanTracer:
         self.record_value(name, duration)
         return duration
 
-    def record_value(self, name: str, duration_us: float,
-                     end_us: Optional[float] = None) -> None:
-        """Record an externally computed duration under *name*.
-
-        *end_us* is the span's completion time in simulated
-        microseconds; it defaults to "now" (which is correct for every
-        in-stack call site) and is only consumed by the pipeline sink.
-        """
-        if not self.enabled:
-            return
+    def record_value(self, name: str, duration_us: float) -> None:
+        """Record a duration, ending now, under *name*."""
         stats = self._stats.get(name)
         if stats is None:
             stats = self._stats[name] = SpanStats(name)
         stats.add(duration_us)
-        if self.keep_raw:
-            self._raw[name].append(duration_us)
         if self.sink is not None:
-            if end_us is None:
-                end_us = self.clock.sim.now / 1000.0
-            self.sink(name, duration_us, end_us)
-
-    def record_between(self, name: str, start_ticks: int,
-                       end_ticks: int) -> None:
-        """Record a span from two raw tick readings."""
-        self.record_value(
-            name, self.clock.delta_us(start_ticks, end_ticks),
-            end_us=end_ticks * self.clock.period_ns / 1000.0)
+            self.sink(name, duration_us, self.clock.sim.now / 1000.0)
 
     # ------------------------------------------------------------------
     # Query
@@ -183,38 +161,12 @@ class SpanTracer:
     def names(self) -> List[str]:
         return sorted(self._stats)
 
-    def raw(self, name: str) -> List[float]:
-        """Raw per-occurrence durations (requires ``keep_raw``)."""
-        return list(self._raw.get(name, ()))
-
-    def means(self) -> Dict[str, float]:
-        """Mapping of every span name to its mean in microseconds."""
-        return {name: s.mean_us for name, s in self._stats.items()}
-
     # ------------------------------------------------------------------
-    # Snapshot / merge (multi-run aggregation, warmup bookkeeping)
+    # Snapshot (warmup bookkeeping, multi-run aggregation)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:
         """All current aggregates as plain JSON-serializable dicts."""
         return {name: s.as_dict() for name, s in self._stats.items()}
-
-    def merge(self, other: Union["SpanTracer", Mapping[str, Mapping]]
-              ) -> None:
-        """Fold another tracer (or a :meth:`snapshot`) into this one.
-
-        Used to re-combine warmup data captured before a
-        :meth:`reset`, and to aggregate several runs into one exportable
-        span table.
-        """
-        if isinstance(other, SpanTracer):
-            items = other._stats.items()
-        else:
-            items = other.items()
-        for name, stats in items:
-            mine = self._stats.get(name)
-            if mine is None:
-                mine = self._stats[name] = SpanStats(name)
-            mine.merge(stats)
 
     def reset(self) -> None:
         """Forget all recorded spans (e.g. after a warmup phase).
@@ -223,4 +175,3 @@ class SpanTracer:
         pipeline :attr:`sink`, if any, is left installed.
         """
         self._stats.clear()
-        self._raw.clear()

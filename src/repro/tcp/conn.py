@@ -84,6 +84,13 @@ class ConnectionStats:
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
+    def add(self, other: "ConnectionStats") -> None:
+        """Fold *other* in: counts add, ``rtx_shift_max`` keeps the max."""
+        shift_max = max(self.rtx_shift_max, other.rtx_shift_max)
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.rtx_shift_max = shift_max
+
 
 class TCPConnection:
     """Protocol state machine for one connection on one host."""
@@ -409,11 +416,6 @@ class TCPConnection:
             self.stats.retransmits += 1
         if seg_rec is not None:
             seg_rec.retransmit = is_retransmit
-        metrics = self.host.metrics
-        if metrics is not None:
-            metrics.inc("tcp.segs_out")
-            if is_retransmit:
-                metrics.inc("tcp.retransmits")
 
         advance = length + (1 if fin else 0)
         is_new_data = not seq_lt(self.snd_nxt, self.snd_max)
@@ -492,8 +494,6 @@ class TCPConnection:
         self.stats.segs_sent += 1
         if not flags & TCPFlags.SYN:
             self.stats.pure_acks_sent += 1
-        if self.host.metrics is not None:
-            self.host.metrics.inc("tcp.segs_out")
         yield from self.host.ip.output(packet, priority, data_bearing=False)
 
     # ------------------------------------------------------------------
@@ -610,7 +610,7 @@ class TCPConnection:
                         ConnectionReset("connection refused"))
                     yield from self._wake_all(priority)
                 else:
-                    self._count_rst_dropped()
+                    self.stats.rst_dropped += 1
             elif self.state.synchronized:
                 # RFC 793 p.37: an RST is valid only if its sequence
                 # number is in the receive window; a blind RST with a
@@ -620,7 +620,7 @@ class TCPConnection:
                         ConnectionReset("connection reset"))
                     yield from self._wake_all(priority)
                 else:
-                    self._count_rst_dropped()
+                    self.stats.rst_dropped += 1
             return
 
         if self.state is TCPState.SYN_SENT:
@@ -638,20 +638,20 @@ class TCPConnection:
             elif not self.state.synchronized:
                 # Stray SYN for a dead (CLOSED) connection: nothing
                 # to reset, nothing to re-ack.
-                self._count_bad_segment()
+                self.stats.bad_segments += 1
                 return
             elif self._segment_in_window(tcp_hdr.seq):
                 # In-window SYN on a synchronized connection: the peer
                 # restarted (RFC 793 p.71) — reset and tell the user
                 # (no RFC 5961 challenge-ACK machinery in 4.4BSD).
-                self._count_bad_segment()
+                self.stats.bad_segments += 1
                 self._drop_connection(ConnectionReset("connection reset"))
                 yield from self._wake_all(priority)
                 return
             else:
                 # Blind SYN outside the window: drop it and re-ack so
                 # a legitimate-but-confused peer learns where we are.
-                self._count_bad_segment()
+                self.stats.bad_segments += 1
                 self.ack_now = True
             yield from self.output(priority)
             self.end_output_call()
@@ -660,7 +660,7 @@ class TCPConnection:
         if not flags & TCPFlags.ACK:
             # RFC 793 p.72: every post-handshake segment carries ACK;
             # a flagless or FIN-only segment without it is dropped.
-            self._count_bad_segment()
+            self.stats.bad_segments += 1
             return
 
         # Trim duplicate data below rcv_nxt.
@@ -739,7 +739,7 @@ class TCPConnection:
                 # have advertised (e.g. a mutated or forged sequence
                 # number): queueing it would pin buffer space for data
                 # that can never be drained.  Drop and dup-ACK.
-                self._count_bad_segment()
+                self.stats.bad_segments += 1
                 self.ack_now = True
                 fin = False
             else:
@@ -774,7 +774,7 @@ class TCPConnection:
         if not flags & TCPFlags.SYN:
             # Only a SYN (or RST, handled earlier) means anything in
             # SYN_SENT; stray ACKs/data are hostile or very stale.
-            self._count_bad_segment()
+            self.stats.bad_segments += 1
             return
         self.irs = tcp_hdr.seq
         self.rcv_nxt = seq_add(tcp_hdr.seq, 1)
@@ -868,13 +868,13 @@ class TCPConnection:
     def _negotiate(self, opts: TCPOptions, syn_ack: bool) -> None:
         """Apply the peer's SYN options."""
         if opts.malformed:
-            self._count_bad_option()
+            self.stats.bad_options += 1
         peer_mss = opts.mss if opts.mss else 536
         if peer_mss < TCP_MINMSS:
             # A poisoned MSS would shatter every write into tiny
             # segments (an event-amplification attack on the stack);
             # clamp to the floor and account for the hostile option.
-            self._count_bad_option()
+            self.stats.bad_options += 1
             peer_mss = TCP_MINMSS
         self.t_maxseg = min(peer_mss, self.local_mss())
         self.snd_cwnd = self.t_maxseg  # slow start from one segment
@@ -902,21 +902,6 @@ class TCPConnection:
             return seq == self.rcv_nxt
         return (seq_geq(seq, self.rcv_nxt)
                 and seq_lt(seq, seq_add(self.rcv_nxt, wnd)))
-
-    def _count_rst_dropped(self) -> None:
-        self.stats.rst_dropped += 1
-        if self.host.metrics is not None:
-            self.host.metrics.inc("tcp.rst_dropped")
-
-    def _count_bad_segment(self) -> None:
-        self.stats.bad_segments += 1
-        if self.host.metrics is not None:
-            self.host.metrics.inc("tcp.bad_segments")
-
-    def _count_bad_option(self) -> None:
-        self.stats.bad_options += 1
-        if self.host.metrics is not None:
-            self.host.metrics.inc("tcp.bad_options")
 
     def _append_receive_data(self, data: bytes, lineage=None) -> None:
         """sbappend the payload into the receive buffer.

@@ -15,15 +15,20 @@ from repro.net.headers import (
 from repro.net.packet import Packet, verify_tcp_checksum
 from repro.sim.cpu import Priority
 from repro.sim.engine import us
-from repro.tcp.conn import TCPConnection
-from repro.tcp.pcb import PCB, PCBError, PCBTable
+from repro.tcp.conn import ConnectionStats, TCPConnection
+from repro.tcp.pcb import PCB, PCBTable
 from repro.tcp.states import TCPState
 
 __all__ = ["TCPLayer", "TCPLayerStats"]
 
 
 class TCPLayerStats:
-    """Host-wide TCP counters."""
+    """Host-wide TCP counters.
+
+    ``bad_segments`` counts only segments no connection owned; each
+    connection counts its own in its
+    :class:`~repro.tcp.conn.ConnectionStats`.
+    """
 
     __slots__ = ("segs_received", "cksum_errors", "no_pcb_drops",
                  "bad_segments", "rst_dropped", "bad_options",
@@ -52,6 +57,9 @@ class TCPLayer:
         #: (a plain list's ``remove`` made thousand-connection
         #: teardown quadratic).  ``connections`` presents the list view.
         self._connections: Dict[TCPConnection, None] = {}
+        #: Every ConnectionStats field of the closed connections, each
+        #: folded in once at close (see :meth:`connection_stats`).
+        self.closed_stats = ConnectionStats()
         self._next_port = itertools.count(1024)
         self._iss = 1000
         self._populate_daemon_pcbs()
@@ -81,6 +89,14 @@ class TCPLayer:
         """Live connections, oldest first."""
         return list(self._connections)
 
+    def connection_stats(self) -> ConnectionStats:
+        """Every connection's counts, closed and live, summed."""
+        total = ConnectionStats()
+        total.add(self.closed_stats)
+        for conn in self._connections:
+            total.add(conn.stats)
+        return total
+
     # ------------------------------------------------------------------
     # Connection management (called by the socket layer)
     # ------------------------------------------------------------------
@@ -96,22 +112,14 @@ class TCPLayer:
         return conn
 
     def connection_closed(self, conn: TCPConnection) -> None:
-        # Fold the connection's input-hardening counters into the
-        # layer stats so a reset/torn-down connection (e.g. one killed
-        # by an in-window SYN) doesn't take its evidence with it.
-        self.stats.bad_segments += conn.stats.bad_segments
-        self.stats.rst_dropped += conn.stats.rst_dropped
-        self.stats.bad_options += conn.stats.bad_options
-        conn.stats.bad_segments = 0
-        conn.stats.rst_dropped = 0
-        conn.stats.bad_options = 0
-        self._connections.pop(conn, None)
-        try:
-            self.pcbs.remove(conn.pcb)
-        except PCBError:
-            # Already removed: closing a socket whose connect was
-            # refused or reset runs _close_now a second time.
-            pass
+        # Closing a socket whose connect was refused or reset runs
+        # _close_now a second time: unlink and fold only once, so a
+        # closed connection's counts stay in connection_stats().
+        if conn not in self._connections:
+            return
+        del self._connections[conn]
+        self.closed_stats.add(conn.stats)
+        self.pcbs.remove(conn.pcb)
 
     # ------------------------------------------------------------------
     # Input path
@@ -120,8 +128,6 @@ class TCPLayer:
               priority: int = Priority.SOFT_INTR) -> Generator:
         """tcp_input entry: demux, checksum, dispatch."""
         self.stats.segs_received += 1
-        if self.host.metrics is not None:
-            self.host.metrics.inc("tcp.segs_in")
         if self.host.packet_log is not None:
             self.host.packet_log.record(self.host.name, "rx", packet,
                                         self.host.sim.now / 1000.0)
@@ -135,8 +141,6 @@ class TCPLayer:
             # drop, and account for it as a malformed segment rather
             # than a checksum failure.
             self.stats.bad_segments += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("tcp.bad_segments")
             return
 
         pcb, lookup_cost, _cache_hit = self.pcbs.lookup(
@@ -156,8 +160,6 @@ class TCPLayer:
             self.stats.cksum_errors += 1
             if conn is not None:
                 conn.stats.cksum_errors += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("tcp.cksum_errors")
             if self.host.lineage is not None:
                 self.host.lineage.mark_dropped(packet.lineage, "cksum")
             return  # silently dropped; the retransmission timer recovers
@@ -166,8 +168,6 @@ class TCPLayer:
             # No one listening: answer with RST (connection refused),
             # unless the offender is itself an RST.
             self.stats.no_pcb_drops += 1
-            if self.host.metrics is not None:
-                self.host.metrics.inc("tcp.no_pcb_drops")
             if not tcp_hdr.flags & TCPFlags.RST:
                 yield from self._send_rst(ip_hdr, tcp_hdr, len(payload),
                                           priority)
@@ -248,8 +248,6 @@ class TCPLayer:
             if flags & TCPFlags.SYN and \
                     flags & (TCPFlags.RST | TCPFlags.FIN):
                 self.stats.bad_segments += 1
-                if self.host.metrics is not None:
-                    self.host.metrics.inc("tcp.bad_segments")
                 return
             if not flags & TCPFlags.RST:
                 yield from self._send_rst(

@@ -263,17 +263,19 @@ class TestFreeList:
         assert pool.reused == 1
         assert cost_reused == cost_first  # 1994 cycle model, not ours
 
-    def test_reuse_counters_reach_metrics_registry(self, pool):
-        from repro.obs.metrics import MetricsRegistry
+    def test_reuse_counters_reach_metrics_registry(self):
+        from repro.core.experiment import run_round_trip
+        from repro.obs import Observer
 
-        registry = MetricsRegistry()
-        pool.metrics = registry.scope("host")
-        chain, _ = pool.build_chain(b"m" * 300, use_clusters=False)
-        count = chain.mbuf_count
-        pool.free_chain(chain)
-        pool.build_chain(b"n" * 300, use_clusters=False)
-        assert registry.value("host.mbuf.allocations") == 2 * count
-        assert registry.value("host.mbuf.reuses") == count
+        obs = Observer()
+        run_round_trip(size=1400, iterations=4, warmup=1, observer=obs)
+        for host in obs.testbeds[-1].hosts:
+            pool = host.pool
+            assert pool.reused > 0
+            assert (obs.metrics.value(f"{host.name}.mbuf.allocated")
+                    == pool.allocated)
+            assert obs.metrics.value(f"{host.name}.mbuf.reused") == \
+                pool.reused
 
     def test_free_list_is_bounded(self, pool):
         from repro.mem.mbuf import _FREE_LIST_MAX

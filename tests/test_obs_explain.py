@@ -151,7 +151,7 @@ class TestExplainCLI:
         lines = out.strip().splitlines()
         assert lines[0] == "kind,name,field,value"
         assert all(len(line.split(",")) == 4 for line in lines)
-        assert any(line.startswith("counter,client.tcp.segs_in,")
+        assert any(line.startswith("gauge,client.tcpstat.segs_received,")
                    for line in lines)
         assert any(line.startswith("span,server.rx.atm,") for line
                    in lines)

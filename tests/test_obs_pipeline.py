@@ -105,20 +105,22 @@ class TestSpanTracerSnapshotMerge:
         tracer.reset()
         assert tracer.count("tx.user") == 0
         tracer.record_value("tx.user", 20.0)
-        tracer.merge(snap)
-        assert tracer.count("tx.user") == 3
-        assert tracer.total_us("tx.user") == pytest.approx(40.0)
-        assert tracer.stats("tx.user").min_us == 8.0
+        merged = tracer.stats("tx.user")
+        merged.merge(snap["tx.user"])      # a snapshot dict
+        assert merged.count == 3
+        assert merged.total_us == pytest.approx(40.0)
+        assert (merged.min_us, merged.max_us) == (8.0, 20.0)
 
     def test_merge_tracer_into_tracer(self):
         a, b = self._tracer(), self._tracer()
         a.record_value("rx.ipq", 5.0)
         b.record_value("rx.ipq", 7.0)
-        b.record_value("rx.atm", 100.0)
-        a.merge(b)
-        assert a.count("rx.ipq") == 2
-        assert a.mean_us("rx.ipq") == pytest.approx(6.0)
-        assert a.count("rx.atm") == 1
+        b.record_value("rx.ipq", 3.0)
+        merged = a.stats("rx.ipq")
+        merged.merge(b.stats("rx.ipq"))    # a SpanStats
+        assert merged.count == 3
+        assert merged.mean_us == pytest.approx(5.0)
+        assert (merged.min_us, merged.max_us) == (3.0, 7.0)
 
     def test_benchmark_keeps_warmup_snapshot(self):
         result = run_round_trip(size=80, iterations=2, warmup=2)
@@ -148,8 +150,8 @@ class TestMetricsRegistry:
 
     def test_scope_prefixes_names(self):
         reg = MetricsRegistry()
-        reg.scope("client").inc("tcp.segs_in")
-        assert reg.value("client.tcp.segs_in") == 1
+        reg.scope("client").inc("atm.interrupts")
+        assert reg.value("client.atm.interrupts") == 1
 
     def test_format_text_lists_everything(self):
         reg = MetricsRegistry()
@@ -250,8 +252,8 @@ class TestMetricsAgainstPacketLog:
             rx = len(log.filter(host=host, direction="rx"))
             assert obs.metrics.value(f"{host}.packets.tx") == tx
             assert obs.metrics.value(f"{host}.packets.rx") == rx
-            assert obs.metrics.value(f"{host}.ip.sent") == tx
-            assert obs.metrics.value(f"{host}.tcp.segs_in") == rx
+            assert obs.metrics.value(f"{host}.ipstat.sent") == tx
+            assert obs.metrics.value(f"{host}.tcpstat.segs_received") == rx
 
     def test_prediction_and_interrupt_counters_populated(self):
         obs = Observer()
@@ -262,6 +264,33 @@ class TestMetricsAgainstPacketLog:
         # collect() folded final host state in as gauges.
         assert obs.metrics.value("server.cpu.busy_us") > 0
         assert obs.metrics.value("server.iface.cells_received") > 0
+
+
+def _observed_table1():
+    """The run behind ``repro metrics table1 --size 1400 --iterations 4``."""
+    obs = Observer()
+    run_round_trip(size=1400, iterations=4, warmup=1, observer=obs)
+    return obs
+
+
+def _observed_lossy_ethernet():
+    from repro.chaos import ImpairmentConfig, Impairments
+    obs = Observer()
+    run_round_trip(size=1400, network="ethernet", iterations=20, warmup=2,
+                   observer=obs, impairments=Impairments(
+                       ImpairmentConfig(seed=1994, p_drop=0.05)))
+    assert obs.metrics.value("client.tcp.retransmits") > 0
+    return obs
+
+
+@pytest.mark.parametrize("observed", [_observed_table1,
+                                      _observed_lossy_ethernet],
+                         ids=["table1", "lossy_ethernet"])
+def test_no_name_is_both_counter_and_gauge(observed):
+    """Each count has one source, so one name: the stack's stats are
+    published as gauges, the live counters are what no stat records."""
+    snap = observed().metrics.snapshot()
+    assert not set(snap["counters"]) & set(snap["gauges"])
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +351,7 @@ class TestChromeTraceExport:
         text = metrics_text(self._observed())
         assert "== spans: server ==" in text
         assert "rx.ipq" in text
-        assert "client.tcp.segs_out" in text
+        assert "client.tcp.segs_sent" in text
 
     def test_per_layer_thread_lanes(self):
         from repro.obs.observer import span_tid
@@ -409,7 +438,7 @@ class TestObservabilityCLI:
         assert main(["repro", "metrics", "table1", "--size", "80",
                      "--iterations", "2"]) == 0
         out = capsys.readouterr().out
-        assert "client.tcp.segs_in" in out
+        assert "client.tcpstat.segs_received" in out
         assert "== spans: client ==" in out
 
     def test_unknown_trace_target(self, capsys):

@@ -102,3 +102,15 @@ def test_printed_tables_match_golden(capsys):
     with open(os.path.join(GOLDEN_DIR, "tables.txt"),
               encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_metrics_dump_matches_golden(capsys):
+    """``python -m repro metrics table1 --size 1400 --iterations 4``,
+    byte for byte: every published counter's name and value."""
+    from repro.__main__ import main
+
+    assert main(["repro", "metrics", "table1", "--size", "1400",
+                 "--iterations", "4"]) == 0
+    with open(os.path.join(GOLDEN_DIR, "metrics_table1.txt"),
+              encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()

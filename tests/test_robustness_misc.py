@@ -20,15 +20,6 @@ class TestHostMisc:
         sim.run_until_triggered(proc)
         assert host.tracer.names() == []
 
-    def test_disabled_tracer_is_honoured_end_to_end(self):
-        tb = build_atm_pair()
-        tb.client.tracer.enabled = False
-        from repro.core.experiment import RoundTripBenchmark
-        result = RoundTripBenchmark(tb, size=100, iterations=2,
-                                    warmup=0).run()
-        assert result.client_spans == {}
-        assert result.server_spans != {}
-
     def test_host_repr(self):
         sim = Simulator()
         host = Host(sim, "box", "10.1.2.3")
