@@ -248,8 +248,8 @@ class ForeTca100:
             host.metrics.inc("atm.interrupts")
         cpu = host.cpu
         job = cpu.run(us(costs.intr_overhead_us), Priority.HARD_INTR,
-                      "atm intr")
-        if not cpu.finish(job):
+                      "atm intr", wait=True)
+        if job is not None:
             yield job
 
         integrated = (host.config.checksum_mode is ChecksumMode.INTEGRATED)
@@ -259,8 +259,9 @@ class ForeTca100:
             drain_cost += us(costs.atm_rx_integrated_fixed_us)
             drain_cost += us(
                 costs.atm_rx_integrated_extra_per_cell_us) * n_cells
-        job = cpu.run(drain_cost, Priority.HARD_INTR, "atm rx drain")
-        if not cpu.finish(job):
+        job = cpu.run(drain_cost, Priority.HARD_INTR, "atm rx drain",
+                      wait=True)
+        if job is not None:
             yield job
         self._rx_fifo_cells -= n_cells
         self.stats.packets_received += 1

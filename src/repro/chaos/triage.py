@@ -143,13 +143,15 @@ def _collect_counters(testbed, fuzzer: PacketFuzzer) -> Dict[str, int]:
             counters[f"{prefix}.ipstat.{fname}"] = getattr(istats, fname)
         for fname, value in host.tcp.connection_stats().as_dict().items():
             counters[f"{prefix}.tcp.{fname}"] = value
-    # Link-wide rollups the corpus expectations key on: the drops no
-    # connection owned plus every connection's, closed and live.
+    # Link-wide rollups the corpus expectations key on: every
+    # connection's drops, closed and live, plus the bad segments no
+    # connection owned.
     names = [host.name for host in testbed.hosts]
     for fname in ("bad_segments", "rst_dropped", "bad_options"):
         counters[f"tcp.{fname}"] = sum(
-            counters[f"{name}.tcpstat.{fname}"]
-            + counters[f"{name}.tcp.{fname}"] for name in names)
+            counters[f"{name}.tcp.{fname}"] for name in names)
+    counters["tcp.bad_segments"] += sum(
+        counters[f"{name}.tcpstat.bad_segments"] for name in names)
     counters["ip.bad_headers"] = sum(counters[f"{name}.ipstat.bad_headers"]
                                      for name in names)
     return counters

@@ -197,13 +197,13 @@ class LanceEthernet:
             host.metrics.inc("ether.interrupts")
         cpu = host.cpu
         job = cpu.run(us(costs.intr_overhead_us), Priority.HARD_INTR,
-                      "ether intr")
-        if not cpu.finish(job):
+                      "ether intr", wait=True)
+        if job is not None:
             yield job
         cost = us(costs.ether_rx_fixed_us
                   + costs.ether_rx_per_byte_us * len(frame_payload))
-        job = cpu.run(cost, Priority.HARD_INTR, "ether rx copy")
-        if not cpu.finish(job):
+        job = cpu.run(cost, Priority.HARD_INTR, "ether rx copy", wait=True)
+        if job is not None:
             yield job
         # Frame copied out of the adapter: the ring descriptor is free.
         self._rx_ring_frames -= 1

@@ -123,8 +123,8 @@ class Host:
         token = self.tracer.begin(span) if span else None
         start_ns = self.sim.now if lineage is not None else 0
         cpu = self.cpu
-        job = cpu.run(cost_ns, priority, label)
-        if not cpu.finish(job):
+        job = cpu.run(cost_ns, priority, label, wait=True)
+        if job is not None:
             yield job
         if token is not None:
             duration_us = self.tracer.end(token)

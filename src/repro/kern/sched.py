@@ -66,9 +66,9 @@ class ProcessScheduler:
         cpu = self.cpu
         job = cpu.run(
             int(self.costs.context_switch_us * 1000),
-            Priority.KERNEL, "cswitch",
+            Priority.KERNEL, "cswitch", wait=True,
         )
-        if not cpu.finish(job):
+        if job is not None:
             yield job
         if self.metrics is not None:
             self.metrics.inc("sched.cswitch")
@@ -95,8 +95,9 @@ class ProcessScheduler:
             return
         self.wakeups += 1
         cpu = self.cpu
-        job = cpu.run(int(self.costs.wakeup_us * 1000), priority, "wakeup")
-        if not cpu.finish(job):
+        job = cpu.run(int(self.costs.wakeup_us * 1000), priority, "wakeup",
+                      wait=True)
+        if job is not None:
             yield job
         signal.fire(self.sim.now)
 

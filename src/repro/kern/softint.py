@@ -96,9 +96,9 @@ class SoftNet:
             cpu = self.cpu
             job = cpu.run(
                 int(self.costs.softint_dispatch_us * 1000),
-                Priority.SOFT_INTR, "softint-dispatch",
+                Priority.SOFT_INTR, "softint-dispatch", wait=True,
             )
-            if not cpu.finish(job):
+            if job is not None:
                 yield job
             while self._queue:
                 packet = self._queue.popleft()

@@ -164,6 +164,10 @@ class Observer:
         self.trace_events: List[dict] = []
         #: host name -> merged span snapshot (see SpanTracer.snapshot).
         self.spans: Dict[str, Dict[str, dict]] = {}
+        #: host name -> the snapshots :attr:`spans` merges, in order:
+        #: each collected tracer's latest one (replaced in place when
+        #: collected again) and every :meth:`merge_spans` input.
+        self._span_parts: Dict[str, Dict[Any, Dict[str, dict]]] = {}
         self.capture_packets = capture_packets
         self.packet_log = None  # created on attach when capturing
         #: Causal packet lineage (repro.obs.lineage); one recorder is
@@ -294,15 +298,18 @@ class Observer:
         """Merge span snapshots and publish the stack's own counters.
 
         The spans of *testbed* (default: every attached testbed) merge
-        into :attr:`spans`.  Every counter is then published once, as a
-        gauge summed over every attached testbed (high-water marks take
-        the maximum), so counts are cumulative across runs and
-        re-collecting is idempotent.
+        into :attr:`spans`; a tracer collected again replaces its
+        earlier snapshot instead of adding to it.  Every counter is then
+        published once, as a gauge summed over every attached testbed
+        (high-water marks take the maximum), so counts are cumulative
+        across runs and re-collecting is idempotent for both.
         """
         testbeds = [testbed] if testbed is not None else self.testbeds
         for tb in testbeds:
             for host in tb.hosts:
-                self.merge_spans(host.name, host.tracer.snapshot())
+                self._span_parts.setdefault(host.name, {})[host.tracer] = \
+                    host.tracer.snapshot()
+                self._merge_parts(host.name)
         totals: Dict[str, float] = {}
         for tb in self.testbeds:
             counts = [("sim.events_executed", tb.sim.events_executed)]
@@ -327,13 +334,16 @@ class Observer:
     def merge_spans(self, host_name: str,
                     snapshot: Dict[str, dict]) -> None:
         """Merge a SpanTracer snapshot into this observer's aggregate."""
-        dst = self.spans.setdefault(host_name, {})
-        for name, stats in snapshot.items():
-            merged = SpanStats(name)
-            if name in dst:
-                merged.merge(dst[name])
-            merged.merge(stats)
-            dst[name] = merged.as_dict()
+        self._span_parts.setdefault(host_name, {})[object()] = snapshot
+        self._merge_parts(host_name)
+
+    def _merge_parts(self, host_name: str) -> None:
+        merged: Dict[str, SpanStats] = {}
+        for snapshot in self._span_parts[host_name].values():
+            for name, stats in snapshot.items():
+                merged.setdefault(name, SpanStats(name)).merge(stats)
+        self.spans[host_name] = {name: stats.as_dict()
+                                 for name, stats in merged.items()}
 
 
 #: Counter names that are high-water marks, not counts.
@@ -368,10 +378,9 @@ def _host_counts(host) -> List[Tuple[str, float]]:
         counts += _fields("iface.", iface.stats)
     tcpstat = host.tcp.stats
     counts += _fields("ipstat.", host.ip.stats) + _fields("tcpstat.", tcpstat)
-    # tcp.*: every connection's counts, closed and live; the
-    # input-validation drops also add the segments no connection owned
-    # (the rollups fuzz expectations key on).
+    # tcp.*: every connection's counts, closed and live; bad_segments
+    # also adds the segments no connection owned (the rollup fuzz
+    # expectations key on).
     conns = host.tcp.connection_stats()
-    for name in ("bad_segments", "rst_dropped", "bad_options"):
-        setattr(conns, name, getattr(conns, name) + getattr(tcpstat, name))
+    conns.bad_segments += tcpstat.bad_segments
     return counts + _fields("tcp.", conns)

@@ -24,17 +24,18 @@ straight from the completion's dispatch slot (the direct path
 :meth:`Simulator.timeout` also takes), with no delay-0 hop through
 :meth:`Event.succeed`.  Starting the next job first keeps the order
 the hop gave: a more urgent job the resumed process submits at once
-still preempts that job at the same instant.  A job submitted to an
-idle CPU starts at once, without a trip through the ready heap, and a
-finished job only consults the ready heap when a job is waiting there.
+still preempts that job at the same instant.  A job that can start at
+once (the CPU is idle, or it preempts a less urgent job) starts
+without a trip through the ready heap.
 
-A charge that nothing can interrupt costs no event at all.  A
-submitter that waits on its job at once calls :meth:`CPU.finish`
-before yielding.  When the job holds the CPU and its completion is the
-dispatch loop's very next event (:meth:`Simulator.take`), the CPU
-completes it on the spot, and the submitter carries on without
-suspending its generator chain.  Otherwise it yields the job as
-before.  A plain ``yield cpu.run(...)`` keeps the one-event path.
+A charge that nothing can interrupt builds nothing at all.  A submitter
+that waits on its job at once passes ``wait=True``.  When the job
+would start at once and :meth:`Simulator.advance` finds nothing the
+loop could run before it ends, :meth:`CPU.run` does the work on the
+spot and returns ``None``: no :class:`Job`, no event, and the
+submitter carries on without suspending its generator chain.
+Otherwise it returns the job to yield.  A plain ``yield cpu.run(...)``
+keeps the one-event path.
 """
 
 from __future__ import annotations
@@ -68,15 +69,14 @@ class Job(Event):
     the job that :meth:`CPU.run` returns.
     """
 
-    __slots__ = ("priority", "seq", "remaining", "enqueued_at", "started")
+    __slots__ = ("priority", "seq", "remaining", "started")
 
     def __init__(self, sim: Simulator, priority: int, seq: int,
-                 duration_ns: int, name: str, enqueued_at: int):
+                 duration_ns: int, name: str):
         Event.__init__(self, sim, name)
         self.priority = priority
         self.seq = seq
         self.remaining = duration_ns
-        self.enqueued_at = enqueued_at
         #: Whether the job has ever held the CPU (start vs resume hooks).
         self.started = False
 
@@ -109,55 +109,50 @@ class CPU:
     # Submission
     # ------------------------------------------------------------------
     def run(self, duration_ns: int, priority: int = Priority.KERNEL,
-            name: str = "work") -> Job:
+            name: str = "work", wait: bool = False) -> Optional[Job]:
         """Submit *duration_ns* of work; returns the :class:`Job`, which
         is the completion event.
 
         Typical use from a simulated process::
 
             yield cpu.run(cost.copyin(n), Priority.KERNEL, "copyin")
+
+        A submitter that waits on the job at once passes ``wait=True``
+        and yields only what comes back::
+
+            job = cpu.run(cost, Priority.KERNEL, "copyin", wait=True)
+            if job is not None:
+                yield job
+
+        ``None`` means the work is already done: the job would have
+        started at once and :meth:`Simulator.advance` found nothing the
+        loop could run before it ended, so the clock stands at its end,
+        a preempted job has resumed, and the accounting is exactly what
+        the completion's dispatch would have left.
         """
         if duration_ns < 0:
             raise ValueError(f"negative CPU work: {duration_ns}")
-        seq = next(self._seq)
+        duration_ns = int(duration_ns)
         sim = self.sim
-        now = sim.now
-        job = Job(sim, priority, seq, int(duration_ns), name, now)
-        if self._running is None and not self._ready:
-            # Idle CPU: the job starts at once, with no ready-heap round
-            # trip (what _dispatch would pick anyway).
-            self._running = job
-            self._run_started_at = now
-            if sim.hooks is not None:
-                sim.hooks.on_job_start(now, self, job)
-            job.started = True
-            self._completion = sim.schedule(
-                job.remaining, self._complete, job)
-        else:
+        running = self._running
+        if running is not None and priority >= running.priority:
+            # Not more urgent than the running job: wait in the ready
+            # heap, FIFO among equal priorities.
+            seq = next(self._seq)
+            job = Job(sim, priority, seq, duration_ns, name)
             heapq.heappush(self._ready, (priority, seq, job))
-            self._dispatch()
+            return job
+        if running is not None:
+            self._preempt()
+        if wait and sim.advance(sim.now + duration_ns):
+            self._account(name, duration_ns)
+            self.jobs_completed += 1
+            if self._ready:
+                self._start(heapq.heappop(self._ready)[2])
+            return None
+        job = Job(sim, priority, next(self._seq), duration_ns, name)
+        self._start(job)
         return job
-
-    def finish(self, job: Job) -> bool:
-        """Complete *job* now if nothing can happen before it ends.
-
-        For a submitter that waits on its job at once::
-
-            job = cpu.run(cost, Priority.KERNEL, "copyin")
-            if not cpu.finish(job):
-                yield job
-
-        True when the job holds the CPU and its completion is the
-        dispatch loop's very next event (:meth:`Simulator.take`): the
-        clock has moved to the completion and the job has completed
-        exactly as its dispatch would have done it, so the submitter
-        carries on without suspending.  False changes nothing; the
-        caller yields the job.
-        """
-        if job is not self._running or not self.sim.take(self._completion):
-            return False
-        self._complete(job)
-        return True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -181,17 +176,9 @@ class CPU:
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
-    def _dispatch(self) -> None:
-        """Give the CPU to the most urgent ready job (callers leave at
-        least one in ``_ready``), preempting the running job only if it
-        is strictly less urgent."""
-        ready = self._ready
-        running = self._running
-        if running is not None:
-            if ready[0][0] >= running.priority:
-                return
-            self._preempt()
-        job = heapq.heappop(ready)[2]
+    def _start(self, job: Job) -> None:
+        """Give the idle CPU to *job* until it completes or is
+        preempted."""
         sim = self.sim
         now = sim.now
         self._running = job
@@ -204,18 +191,18 @@ class CPU:
         job.started = True
         self._completion = sim.schedule(job.remaining, self._complete, job)
 
-    def _account(self, job: Job, elapsed: int) -> None:
+    def _account(self, label: str, elapsed: int) -> None:
         self.busy_ns += elapsed
         if elapsed:
-            self.busy_by_label[job.name] = (
-                self.busy_by_label.get(job.name, 0) + elapsed)
+            self.busy_by_label[label] = (
+                self.busy_by_label.get(label, 0) + elapsed)
 
     def _preempt(self) -> None:
         job = self._running
         assert job is not None and self._completion is not None
         elapsed = self.sim.now - self._run_started_at
         job.remaining -= elapsed
-        self._account(job, elapsed)
+        self._account(job.name, elapsed)
         self._completion.cancel()
         self._completion = None
         self._running = None
@@ -226,7 +213,7 @@ class CPU:
 
     def _complete(self, job: Job) -> None:
         assert job is self._running
-        self._account(job, self.sim.now - self._run_started_at)
+        self._account(job.name, self.sim.now - self._run_started_at)
         self._running = None
         self._completion = None
         self.jobs_completed += 1
@@ -234,5 +221,5 @@ class CPU:
             self.sim.hooks.on_job_finish(self.sim.now, self, job)
         # Next job first, then the waiters: see the module docstring.
         if self._ready:
-            self._dispatch()
+            self._start(heapq.heappop(self._ready)[2])
         job._fire()

@@ -26,16 +26,15 @@ Performance notes (the pure-Python hot path):
   (a deadline and an event).  The hooks test is inline, one
   ``is not None`` per dispatch, so hooks installed mid-run are seen
   from the next event on.
-* The newest entry waits outside the heap until the loop's next pop
-  (a ``heappushpop``) or the next schedule.  While it waits,
-  :meth:`Simulator.take` may claim it: when it is exactly the loop's
-  next dispatch, the caller moves the clock and does the work itself.
-  The CPU model completes uncontended charges this way
-  (:meth:`repro.sim.cpu.CPU.finish`), so most charges never enter the
-  heap.  The loop publishes its stop rules for this test, and a
-  multi-waiter event hides them from all but its last waiter.  The
-  compiled core's ``take`` always refuses, so ``events_executed``
-  differs between the engines while results stay identical.
+* :meth:`Simulator.advance` moves the clock to a time the caller is
+  about to wait for when the loop would run nothing before it, so the
+  caller does the work itself and no event is built.  The CPU model
+  finishes uncontended charges this way (``CPU.run(..., wait=True)``),
+  so most charges never reach the heap.  The loop publishes its stop
+  rules for this test, and a multi-waiter event hides them from all
+  but its last waiter.  The compiled core's ``advance`` always
+  refuses, so ``events_executed`` differs between the engines while
+  results stay identical.
 * A :class:`ScheduledCall` is three fields.  :meth:`ScheduledCall.cancel`
   clears ``fn``, which is the loop's single cancelled-entry test; a
   handle is never reused, so a stale ``cancel()`` on a spent handle is
@@ -53,7 +52,7 @@ protocol stack — is built on these primitives.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heappushpop
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.sim.errors import (
@@ -257,8 +256,8 @@ class Event:
     def _dispatch(self, callbacks: List[Callable[["Event"], None]]) -> None:
         """Run several waiters in registration order.  Until the last
         one runs, the loop's stop token reads as triggered, so only the
-        last waiter can :meth:`Simulator.take` a completion: an earlier
-        one that moved the clock would hand the rest a later ``now``."""
+        last waiter can :meth:`Simulator.advance` the clock: an earlier
+        one that moved it would hand the rest a later ``now``."""
         sim = self.sim
         stop, sim._stop = sim._stop, _ONCE
         for fn in callbacks[:-1]:
@@ -354,7 +353,7 @@ class _StopToken:
 
 
 #: Reads as triggered: :meth:`Simulator.step` returns after its first
-#: callback, and :meth:`Simulator.take` refuses outside a loop.
+#: callback, and :meth:`Simulator.advance` refuses outside a loop.
 _ONCE = _StopToken(None)
 #: Never triggers: the stop event of :meth:`Simulator.run`.
 _NEVER = _StopToken(Event._PENDING)
@@ -371,10 +370,7 @@ class Simulator:
         #: the integer prefix (keys are unique per simulator), so the
         #: heap never falls back to comparing ScheduledCall objects.
         self._queue: List[tuple] = []
-        #: The newest entry, kept out of the heap until the loop's next
-        #: pop (or the next schedule) so :meth:`take` can claim it.
-        self._held: Optional[tuple] = None
-        #: The running loop's stop rules, read by :meth:`take`.
+        #: The running loop's stop rules, read by :meth:`advance`.
         self._until: Optional[int] = None
         self._stop: Any = _ONCE
         self._seq_next = 0
@@ -414,7 +410,7 @@ class Simulator:
     @property
     def events_executed(self) -> int:
         """Number of callbacks the loop has dispatched so far
-        (diagnostics); calls claimed with :meth:`take` do not count."""
+        (diagnostics); an :meth:`advance` does not count."""
         return self._events_executed
 
     # ------------------------------------------------------------------
@@ -428,11 +424,8 @@ class Simulator:
         self._seq_next = seq + 1
         time = self.now + int(delay_ns)
         call = ScheduledCall(time, fn, args)
-        held = self._held
-        if held is not None:
-            heappush(self._queue, held)
-        self._held = (
-            time, seq if self._keyfn is None else self._keyfn(seq), call)
+        heappush(self._queue, (
+            time, seq if self._keyfn is None else self._keyfn(seq), call))
         if not (seq & _COMPACT_MASK):
             self._maybe_compact()
         if self.hooks is not None:
@@ -484,7 +477,7 @@ class Simulator:
         after *until* (``None``: no deadline), which stays queued, or
         once the event *stop* has triggered after a dispatch.  Returns
         False when the queue holds nothing live.  Both stop rules are
-        published for :meth:`take` while the loop runs.
+        published for :meth:`advance` while the loop runs.
         """
         queue = self._queue
         pending = Event._PENDING
@@ -493,15 +486,8 @@ class Simulator:
         self._until = until
         self._stop = stop
         try:
-            while True:
-                held = self._held
-                if held is not None:
-                    self._held = None
-                    time, key, call = heappushpop(queue, held)
-                elif queue:
-                    time, key, call = heappop(queue)
-                else:
-                    return False
+            while queue:
+                time, key, call = heappop(queue)
                 fn = call.fn
                 if fn is None:
                     continue  # cancelled
@@ -518,41 +504,43 @@ class Simulator:
                 fn(*call.args)
                 if stop._value is not pending:
                     return True
+            return False
         finally:
             self._events_executed += executed
             self._until, self._stop = outer
 
-    def take(self, call: ScheduledCall) -> bool:
-        """Claim *call* if it is exactly the running loop's next dispatch.
+    def advance(self, time: int) -> bool:
+        """Move the clock to *time* if the loop would run nothing first.
 
-        On True the call's entry has left the queue unrun and the clock
-        stands at its time: the caller does the call's work itself, from
-        the current dispatch, and no one can tell the difference.  That
-        holds only when *call* is the newest entry and still live, no
-        live entry is due before it (cancelled ones ahead of it are
-        dropped, as the loop would), it is due by :meth:`run`'s
-        deadline, the loop's stop event is still pending (so never in
-        :meth:`step`, outside a loop, or in any but the last waiter of a
-        fanned-out event) and no hooks are installed (they would miss
-        the dispatch).  A taken call does not count in
+        For a caller that would otherwise schedule an event at *time* and
+        wait for it: on True the clock stands at *time*, exactly as if
+        the loop had just dispatched that event, and the caller does its
+        work itself.  That holds only when no live entry is due at or
+        before *time* ahead of the key the event would have had
+        (cancelled ones are dropped, as the loop would), *time* is within
+        :meth:`run`'s deadline, the loop's stop event is still pending
+        (so never in :meth:`step`, outside a loop, or in any but the last
+        waiter of a fanned-out event) and no hooks are installed (they
+        would miss the dispatch).  True consumes the event's sequence
+        number, so later keys are unchanged; False leaves the clock and
+        the sequence alone.  An advance does not count in
         :attr:`events_executed`.
         """
-        held = self._held
-        if held is None or held[2] is not call:
-            return False
-        # The usual refusal first: a live entry is due sooner.
+        seq = self._seq_next
+        entry = (time, seq if self._keyfn is None else self._keyfn(seq))
         queue = self._queue
-        while queue and queue[0] < held:
+        # The usual refusal first: a live entry is due no later.
+        while queue and queue[0] < entry:
             if queue[0][2].fn is not None:
                 return False
             heappop(queue)
         until = self._until
-        if call.fn is None or self.hooks is not None \
+        if self.hooks is not None \
                 or self._stop._value is not Event._PENDING \
-                or (until is not None and held[0] > until):
+                or (until is not None and time > until):
             return False
-        self._held = None
-        self.now = held[0]
+        self._seq_next = seq + 1
+        self.now = time
         return True
 
     def step(self) -> bool:
@@ -607,7 +595,7 @@ if _CORE is not None:
     class _NativeSimulator(_PurePythonSimulator):
         """Simulator backed by the compiled EngineCore."""
 
-        #: Swapped by Event._dispatch's fan-out guard; take() refuses.
+        #: Swapped by Event._dispatch's fan-out guard; advance() refuses.
         _stop = _ONCE
 
         def __init__(self, hooks: Optional[Any] = None,
@@ -657,7 +645,7 @@ if _CORE is not None:
             self._core.run_until_triggered(event)
             return event.value
 
-        def take(self, call: ScheduledCall) -> bool:
+        def advance(self, time: int) -> bool:
             """Always refuses: the core's loops publish no stop rules."""
             return False
 

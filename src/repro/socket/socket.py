@@ -191,8 +191,8 @@ class Socket:
         else:
             cost += costs.copy_user_mbuf.ns(len(data))
         cpu = host.cpu
-        job = cpu.run(cost, Priority.KERNEL, "sosend copyin")
-        if not cpu.finish(job):
+        job = cpu.run(cost, Priority.KERNEL, "sosend copyin", wait=True)
+        if job is not None:
             yield job
         lin = host.lineage
         write_rec = None
@@ -297,8 +297,8 @@ class Socket:
             cost += costs.copy_user_mbuf.ns(take)
         cost += self.so_rcv.drop(take)  # sbdrop frees the mbufs
         cpu = host.cpu
-        job = cpu.run(cost, Priority.KERNEL, "soreceive copyout")
-        if not cpu.finish(job):
+        job = cpu.run(cost, Priority.KERNEL, "soreceive copyout", wait=True)
+        if job is not None:
             yield job
         if self.conn is not None:
             # Draining the buffer may reopen a closed receive window;
@@ -334,15 +334,15 @@ class Socket:
     def _charge_syscall_entry(self) -> Generator:
         cpu = self.host.cpu
         job = cpu.run(us(self.host.costs.syscall_entry_us),
-                      Priority.KERNEL, "syscall entry")
-        if not cpu.finish(job):
+                      Priority.KERNEL, "syscall entry", wait=True)
+        if job is not None:
             yield job
 
     def _charge_syscall_exit(self) -> Generator:
         cpu = self.host.cpu
         job = cpu.run(us(self.host.costs.syscall_exit_us),
-                      Priority.KERNEL, "syscall exit")
-        if not cpu.finish(job):
+                      Priority.KERNEL, "syscall exit", wait=True)
+        if job is not None:
             yield job
 
     def _require_connected(self) -> None:

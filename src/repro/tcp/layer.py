@@ -31,8 +31,7 @@ class TCPLayerStats:
     """
 
     __slots__ = ("segs_received", "cksum_errors", "no_pcb_drops",
-                 "bad_segments", "rst_dropped", "bad_options",
-                 "cksum_verified", "cksum_skipped_off",
+                 "bad_segments", "cksum_verified", "cksum_skipped_off",
                  "cksum_precomputed")
 
     def __init__(self) -> None:

@@ -31,13 +31,13 @@ class UDPSocket:
         costs = self.host.costs
         cpu = self.host.cpu
         job = cpu.run(us(costs.syscall_entry_us), Priority.KERNEL,
-                      "syscall entry")
-        if not cpu.finish(job):
+                      "syscall entry", wait=True)
+        if job is not None:
             yield job
         copy_cost = (us(costs.sosend_fixed_us)
                      + costs.copy_user_mbuf.ns(len(payload)))
-        job = cpu.run(copy_cost, Priority.KERNEL, "udp copyin")
-        if not cpu.finish(job):
+        job = cpu.run(copy_cost, Priority.KERNEL, "udp copyin", wait=True)
+        if job is not None:
             yield job
         yield self.host.splnet_acquire()
         try:
@@ -46,8 +46,8 @@ class UDPSocket:
         finally:
             self.host.splnet_release()
         job = cpu.run(us(costs.syscall_exit_us), Priority.KERNEL,
-                      "syscall exit")
-        if not cpu.finish(job):
+                      "syscall exit", wait=True)
+        if job is not None:
             yield job
 
     def recvfrom(self) -> Generator:
@@ -58,8 +58,8 @@ class UDPSocket:
         costs = self.host.costs
         cpu = self.host.cpu
         job = cpu.run(us(costs.syscall_entry_us), Priority.KERNEL,
-                      "syscall entry")
-        if not cpu.finish(job):
+                      "syscall entry", wait=True)
+        if job is not None:
             yield job
         queue = self.host.udp.queue_for(self.port)
         while not queue:
@@ -68,12 +68,12 @@ class UDPSocket:
         payload, src_ip, src_port = queue.popleft()
         copy_cost = (us(costs.soreceive_fixed_us)
                      + costs.copy_user_mbuf.ns(len(payload)))
-        job = cpu.run(copy_cost, Priority.KERNEL, "udp copyout")
-        if not cpu.finish(job):
+        job = cpu.run(copy_cost, Priority.KERNEL, "udp copyout", wait=True)
+        if job is not None:
             yield job
         job = cpu.run(us(costs.syscall_exit_us), Priority.KERNEL,
-                      "syscall exit")
-        if not cpu.finish(job):
+                      "syscall exit", wait=True)
+        if job is not None:
             yield job
         return payload, src_ip, src_port
 

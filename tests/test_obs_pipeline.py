@@ -412,6 +412,19 @@ class TestObserverMultiRun:
         assert obs.metrics.value("client.cpu.busy_us") == busy
         assert obs.metrics.snapshot()["gauges"] == snap["gauges"]
 
+    def test_recollect_is_idempotent_for_spans(self):
+        obs = Observer()
+        run_round_trip(size=200, iterations=2, warmup=1, observer=obs)
+        counts = [obs.spans["client"]["tx.user"]["count"]]
+        spans = json.dumps(obs.spans, sort_keys=True)
+        obs.collect(obs.testbeds[-1])
+        counts.append(obs.spans["client"]["tx.user"]["count"])
+        obs.collect()
+        counts.append(obs.spans["client"]["tx.user"]["count"])
+        # Two measured iterations plus the warmup one, every time.
+        assert counts == [3, 3, 3]
+        assert json.dumps(obs.spans, sort_keys=True) == spans
+
 
 # ----------------------------------------------------------------------
 # CLI

@@ -7,7 +7,7 @@ list) landed.  Each fixture holds the full observable surface of one
 round-trip run — every packet-log line, every RTT sample, and the
 conservation counters (CPU busy ns, jobs, preemptions, IPQ and TCP
 counts).  These tests replay the same runs on the current engine, both
-with hooks installed (guarded dispatch path, where ``Simulator.take``
+with hooks installed (guarded dispatch path, where ``Simulator.advance``
 refuses, so every CPU charge costs a heap event) and without (fast
 path, where uncontended charges complete inside their submitter), and
 require byte-for-byte equality.

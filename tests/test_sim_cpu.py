@@ -236,17 +236,18 @@ def test_completing_an_already_triggered_job_raises():
 
 
 # ----------------------------------------------------------------------
-# CPU.finish: an uncontended charge completes inside its submitter
+# CPU.run(..., wait=True): an uncontended charge completes inside its
+# submitter
 # ----------------------------------------------------------------------
-#: The shortcut lives in the pure engine (the compiled core's take()
+#: The shortcut lives in the pure engine (the compiled core's advance()
 #: always refuses), so these tests pin it on the pure engine.
 PureSimulator = getattr(engine, "_PurePythonSimulator", engine.Simulator)
 
 
 def charge(cpu, duration, priority, name):
-    """``yield from`` this: the finish-or-yield idiom of the stack."""
-    job = cpu.run(duration, priority, name)
-    if not cpu.finish(job):
+    """``yield from`` this: the wait=True idiom of the stack."""
+    job = cpu.run(duration, priority, name, wait=True)
+    if job is not None:
         yield job
 
 
@@ -271,40 +272,42 @@ def test_uncontended_host_charges_cost_no_event():
         return sim.events_executed
 
     assert run(PureSimulator()) == 1
-    # The compiled core refuses every take: one event per charge.
+    # The compiled core refuses every advance: one event per charge.
     assert run(engine.Simulator()) == (
         1 if engine.Simulator is PureSimulator else 6)
 
 
-def test_finish_refuses_a_preempted_or_queued_job():
+def test_wait_finishes_a_preempting_job_but_not_a_queued_one():
     sim = PureSimulator()
     cpu = CPU(sim, "cpu0")
     seen = []
 
     def proc():
         low = cpu.run(100, Priority.USER, "low")
-        queued = cpu.run(100, Priority.USER, "queued")
-        urgent = cpu.run(10, Priority.HARD_INTR, "urgent")
-        # low was preempted (its completion cancelled); queued never ran.
-        seen.append((cpu.finish(low), cpu.finish(queued), sim.now))
-        assert cpu.finish(urgent)
-        seen.append(sim.now)
+        # Behind low at the same priority: it comes back unfinished.
+        queued = cpu.run(100, Priority.USER, "queued", wait=True)
+        seen.append((isinstance(queued, Job), sim.now))
+        # More urgent than low: it preempts low and finishes inline,
+        # and low resumes after it.
+        seen.append(cpu.run(10, Priority.HARD_INTR, "urgent", wait=True))
+        seen.append((sim.now, cpu.running_job is low, cpu.preemptions))
         yield low
         seen.append(sim.now)
         yield queued
         seen.append(sim.now)
 
     sim.run_until_triggered(sim.process(proc()))
-    assert seen == [(False, False, 0), 10, 110, 210]
+    assert seen == [(True, 0), None, (10, True, 1), 110, 210]
     assert cpu.preemptions == 1
     assert cpu.jobs_completed == 3
+    assert cpu.busy_by_label == {"low": 100, "queued": 100, "urgent": 10}
 
 
 @pytest.mark.parametrize("trigger", ["timeout", "succeed"])
 def test_only_the_last_waiter_of_a_fanned_out_event_may_take(trigger):
-    """Two processes wait on one event; the first charges 50 ns through
-    finish.  Taking it would move the clock before the second waiter
-    ran, so the second must still resume at 100."""
+    """Two processes wait on one event; the first charges 50 ns with
+    wait=True.  Taking the shortcut would move the clock before the
+    second waiter ran, so the second must still resume at 100."""
     sim = PureSimulator()
     cpu = CPU(sim, "cpu0")
     if trigger == "timeout":
@@ -335,7 +338,7 @@ class _Silent(SimHooks):
 
 
 def _random_run(seed, tiebreak, shortcut):
-    """Random processes at random priorities charging through finish and
+    """Random processes at random priorities charging with wait=True and
     through plain yields, with random timeouts, shared (fanned-out)
     ticks and cancelled timers, driven across a run(until) deadline."""
     sim = PureSimulator(tiebreak=tiebreak)

@@ -548,38 +548,37 @@ class TestKernelContract:
         assert results[0][2] == 3 * 5 + 1  # starts, timeouts, the end
 
 
-#: take() is a pure-engine shortcut (the compiled core always refuses),
-#: so its contract is checked on the pure engine under either path.
+#: advance() is a pure-engine shortcut (the compiled core always
+#: refuses), so its contract is checked on the pure engine under either
+#: path.
 PureSimulator = getattr(engine, "_PurePythonSimulator", engine.Simulator)
 
 
-class TestTake:
-    """Simulator.take(call) claims *call* only when it is exactly the
-    running loop's next dispatch; one test per refusal rule."""
+class TestAdvance:
+    """Simulator.advance(time) moves the clock only when the running
+    loop would dispatch nothing first; one test per refusal rule."""
 
     @staticmethod
-    def _take_at(sim, when, delay, before=None):
-        """At *when*, run ``before()`` (if given), schedule a call
-        *delay* ns out and try to take it; returns ``[taken, now]``,
-        filled in by the dispatch."""
+    def _advance_at(sim, when, delay, before=None):
+        """At *when*, run ``before()`` (if given) and try to advance the
+        clock *delay* ns; returns ``[advanced, now]``, filled in by the
+        dispatch."""
         seen = []
 
         def attempt():
             if before is not None:
                 before()
-            call = sim.schedule(delay, seen.append, "ran")
-            seen.append(sim.take(call))
+            seen.append(sim.advance(sim.now + delay))
             seen.append(sim.now)
 
         sim.schedule(when, attempt)
         return seen
 
-    def test_take_claims_the_next_dispatch_without_running_it(self):
+    def test_advance_moves_the_clock_without_an_event(self):
         sim = PureSimulator()
-        seen = self._take_at(sim, 10, 50)
+        seen = self._advance_at(sim, 10, 50)
         sim.schedule(100, seen.append, "later")
         sim.run()
-        # The call never runs: the caller does its work instead.
         assert seen == [True, 60, "later"]
         assert sim.now == 100
         assert sim.events_executed == 2
@@ -587,108 +586,126 @@ class TestTake:
     def test_refuses_when_a_live_entry_is_due_sooner(self):
         sim = PureSimulator()
         sooner = []
-        seen = self._take_at(
+        seen = self._advance_at(
             sim, 10, 50, lambda: sim.schedule(30, sooner.append, sim.now))
         sim.run()
-        assert seen == [False, 10, "ran"]
+        assert seen == [False, 10]
         assert sooner == [10]
-        assert sim.now == 60
+        assert sim.now == 40
+
+    def test_an_entry_due_exactly_at_the_target_refuses(self):
+        """Under FIFO the entry was scheduled first, so it would run
+        before an event scheduled for the same time."""
+        sim = PureSimulator()
+        same = []
+        seen = self._advance_at(
+            sim, 10, 50, lambda: sim.schedule(50, same.append, sim.now))
+        sim.run()
+        assert seen == [False, 10]
+        assert same == [10]
 
     def test_cancelled_entries_ahead_do_not_refuse(self):
         sim = PureSimulator()
-        seen = self._take_at(
+        seen = self._advance_at(
             sim, 10, 50, lambda: sim.schedule(30, seen.append, "x").cancel())
         sim.run()
         assert seen == [True, 60]
-
-    def test_refuses_a_call_that_is_not_the_newest_entry(self):
-        sim = PureSimulator()
-        seen = []
-
-        def attempt():
-            call = sim.schedule(50, seen.append, "ran")
-            sim.schedule(30, seen.append, "newer")
-            seen.append(sim.take(call))
-
-        sim.schedule(10, attempt)
-        sim.run()
-        assert seen == [False, "newer", "ran"]
-
-    def test_refuses_a_cancelled_call(self):
-        sim = PureSimulator()
-        seen = []
-
-        def attempt():
-            call = sim.schedule(50, seen.append, "ran")
-            call.cancel()
-            seen.append(sim.take(call))
-            seen.append(sim.now)
-
-        sim.schedule(10, attempt)
-        sim.run()
-        assert seen == [False, 10]
 
     def test_refuses_with_hooks_installed(self):
         from repro.obs.hooks import SimHooks
 
         sim = PureSimulator(hooks=SimHooks())
-        seen = self._take_at(sim, 10, 50)
+        seen = self._advance_at(sim, 10, 50)
         sim.run()
-        assert seen == [False, 10, "ran"]
+        assert seen == [False, 10]
 
     def test_refuses_inside_step(self):
         sim = PureSimulator()
-        seen = self._take_at(sim, 10, 50)
+        seen = self._advance_at(sim, 10, 50)
         assert sim.step() is True
         assert seen == [False, 10]
-        assert sim.step() is True
-        assert seen == [False, 10, "ran"]
-        assert sim.now == 60
+        assert sim.now == 10
 
     def test_refuses_past_the_run_until_deadline(self):
         sim = PureSimulator()
-        late = self._take_at(sim, 80, 21)
+        seen = self._advance_at(sim, 80, 21)
         sim.run(until=100)
-        assert late == [False, 80]
+        assert seen == [False, 80]
         assert sim.now == 100
-        sim.run()
-        assert late == [False, 80, "ran"]
-        assert sim.now == 101
-        # Due exactly at the deadline is due by it.
+
+    def test_accepted_exactly_at_the_run_until_deadline(self):
         sim = PureSimulator()
-        on_time = self._take_at(sim, 80, 20)
+        seen = self._advance_at(sim, 80, 20)
         sim.run(until=100)
-        assert on_time == [True, 100]
+        assert seen == [True, 100]
+        assert sim.now == 100
 
     def test_refuses_once_the_stop_event_triggered_in_this_dispatch(self):
         sim = PureSimulator()
         done = sim.event()
-        seen = self._take_at(sim, 10, 50, lambda: done.succeed("stop"))
+        seen = self._advance_at(sim, 10, 50, lambda: done.succeed("stop"))
         assert sim.run_until_triggered(done) == "stop"
-        # The loop stops after this dispatch, before the call is due.
+        # The loop stops after this dispatch, before the target.
         assert seen == [False, 10]
         assert sim.now == 10
 
     def test_refuses_outside_any_loop(self):
         sim = PureSimulator()
-        seen = []
-        call = sim.schedule(50, seen.append, "first")
-        assert sim.take(call) is False
+        assert sim.advance(50) is False
         assert sim.now == 0
+        sim.schedule(50, lambda: None)
         sim.run()
-        assert seen == ["first"]
         # A finished loop leaves no stop rules behind.
-        call = sim.schedule(50, seen.append, "second")
-        assert sim.take(call) is False
+        assert sim.advance(100) is False
         assert sim.now == 50
+
+    def test_refuses_in_all_but_the_last_waiter_of_a_fanned_out_event(self):
+        sim = PureSimulator()
+        tick = sim.event()
+        sim.schedule(100, tick.succeed)
+        seen = []
+
+        def waiter(name):
+            yield tick
+            seen.append((name, sim.advance(sim.now + 50), sim.now))
+
+        sim.process(waiter("first"))
+        sim.process(waiter("last"))
         sim.run()
-        assert seen == ["first", "second"]
-        assert sim.now == 100
+        assert seen == [("first", False, 100), ("last", True, 150)]
+
+    def test_shuffle_keys_match_the_event_it_replaces(self):
+        """An accepted advance consumes the sequence number the skipped
+        event would have had, so under a shuffled tie-break every later
+        same-time event keeps its key and its turn."""
+
+        def order(shortcut):
+            sim = PureSimulator(tiebreak="shuffle:3")
+            ran = []
+
+            def burst():
+                for i in range(8):
+                    sim.schedule(10, ran.append, i)
+
+            def attempt():
+                if shortcut:
+                    assert sim.advance(sim.now + 50)
+                    burst()
+                else:
+                    sim.schedule(50, burst)
+
+            sim.schedule(10, attempt)
+            sim.run()
+            assert sim.now == 70
+            return ran
+
+        assert order(shortcut=True) == order(shortcut=False)
+        assert order(shortcut=True) != list(range(8))
 
     @pytest.mark.skipif(engine.Simulator is PureSimulator,
                         reason="the compiled engine core is not in use")
     def test_the_compiled_core_always_refuses(self):
         sim = engine.Simulator()
-        seen = self._take_at(sim, 10, 50)
+        seen = self._advance_at(sim, 10, 50)
         sim.run()
-        assert seen == [False, 10, "ran"]
+        assert seen == [False, 10]
