@@ -1,8 +1,8 @@
 """Build script: pure-Python package plus an *optional* C extension.
 
-``repro._native._corec`` compiles the three measured hot spots (event
-loop, Internet checksum, mbuf chains).  The extension is strictly
-optional: any compiler or header failure downgrades to the
+``repro._native._corec`` compiles the two measured hot spots (the
+Internet checksum and the mbuf chain helpers).  The extension is
+strictly optional: any compiler or header failure downgrades to the
 pure-Python wheel with a notice, so ``pip install`` can never fail for
 lack of a toolchain.  Selection between the two paths happens at import
 time in :mod:`repro.perf.native` (``REPRO_NATIVE=0|1``).

@@ -404,8 +404,7 @@ def check_unguarded_hook(ctx: LintContext) -> Iterator[Finding]:
 #: prefixes (anything else in repro.* is a violation); 'forbidden'
 #: blacklists prefixes.  Packages absent here are unconstrained.
 LAYERING: Dict[str, Dict[str, Set[str]]] = {
-    "sim": {"allowed": {"repro.sim", "repro.obs.hooks",
-                        "repro.perf.native"}},
+    "sim": {"allowed": {"repro.sim", "repro.obs.hooks"}},
     "hw": {"allowed": {"repro.hw", "repro.sim"}},
     "mem": {"allowed": {"repro.mem", "repro.sim", "repro.hw",
                         "repro.perf.native"}},

@@ -11,6 +11,6 @@
 Neither alters simulated results; equivalence is enforced by
 ``tests/test_perf_equivalence.py`` and the golden fixtures in
 ``tests/perf_golden/``.  The package imports nothing itself, so the
-hot-path modules (``repro.sim.engine``, ``repro.checksum``, …) can
-import ``repro.perf.native`` at their own import time.
+hot-path modules (``repro.checksum``, ``repro.mem.mbuf``) can import
+``repro.perf.native`` at their own import time.
 """

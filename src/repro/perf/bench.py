@@ -10,10 +10,6 @@ keeps; no counter is added to the engine or to any hot path.
 run and counter by counter.  A change that moves a count rewrites the
 file with ``python -m repro bench > benchmarks/counts.json`` and says
 why in CHANGES.md.  Wall time is perfbench's job (``perfbench/``).
-
-``events_executed`` is the one counter that depends on the execution
-path: the uncontended-charge shortcut runs on the pure engine only
-(DESIGN.md §7), so the committed file holds the pure path's events.
 """
 
 from __future__ import annotations
@@ -25,10 +21,7 @@ from repro.core.experiment import RoundTripBenchmark
 from repro.core.testbed import Testbed, build_atm_pair, build_ethernet_pair
 from repro.core.workloads import run_connection_scale
 
-__all__ = ["RUNS", "PATH_DEPENDENT", "counters", "collect"]
-
-#: Counters that differ between the pure and the compiled engine.
-PATH_DEPENDENT = frozenset({"events_executed"})
+__all__ = ["RUNS", "counters", "collect"]
 
 
 def _round_trips(build: Callable[..., Testbed], size: int,

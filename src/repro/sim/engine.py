@@ -15,7 +15,9 @@ The kernel is deliberately small and deterministic:
   and every hook site is a single ``is not None`` test, so an
   unobserved run pays nothing and stays byte-identical to the seed.
 
-Performance notes (the pure-Python hot path):
+Performance notes.  The engine is pure Python on every build; the
+optional compiled extension twins only the checksum and the mbuf
+chain helpers.
 
 * Heap entries are ``(time, key, call)`` tuples, so every sift
   comparison during push/pop is a C-level integer compare —
@@ -32,9 +34,7 @@ Performance notes (the pure-Python hot path):
   finishes uncontended charges this way (``CPU.run(..., wait=True)``),
   so most charges never reach the heap.  The loop publishes its stop
   rules for this test, and a multi-waiter event hides them from all
-  but its last waiter.  The compiled core's ``advance`` always
-  refuses, so ``events_executed`` differs between the engines while
-  results stay identical.
+  but its last waiter.
 * A :class:`ScheduledCall` is three fields.  :meth:`ScheduledCall.cancel`
   clears ``fn``, which is the loop's single cancelled-entry test; a
   handle is never reused, so a stale ``cancel()`` on a spent handle is
@@ -569,87 +569,3 @@ class Simulator:
         if event._value is Event._PENDING and not self._run(None, event):
             raise Deadlock(f"event queue drained; {event!r} never triggered")
         return event.value
-
-
-# ----------------------------------------------------------------------
-# Optional compiled engine core (repro._native._corec)
-# ----------------------------------------------------------------------
-# Selected once at import time via repro.perf.native (REPRO_NATIVE=0|1).
-# The native Simulator subclasses the pure one — every non-hot method
-# (events, processes, timeouts, hook validation) is inherited — and
-# delegates the clock, heap and dispatch loops to an EngineCore whose
-# event order is byte-identical (same compaction cadence, same error
-# classes and messages).  Its handles keep the pure contract: a fresh
-# handle per schedule, and cancel() clears fn.  tests/perf_golden/
-# gates the equivalence.
-
-import repro.perf.native as _native_dispatch
-
-_CORE = _native_dispatch.lib
-
-if _CORE is not None:
-    _CORE.engine_install(Event._PENDING, SchedulingError, Deadlock)
-
-    _PurePythonSimulator = Simulator
-
-    class _NativeSimulator(_PurePythonSimulator):
-        """Simulator backed by the compiled EngineCore."""
-
-        #: Swapped by Event._dispatch's fan-out guard; advance() refuses.
-        _stop = _ONCE
-
-        def __init__(self, hooks: Optional[Any] = None,
-                     tiebreak: Optional[str] = None) -> None:
-            self.tiebreak = tiebreak or "fifo"
-            self._keyfn = tiebreak_keyfn(tiebreak)
-            core = _CORE.EngineCore(self._keyfn)
-            self._core = core
-            #: Bound C method in the instance dict: callers resolve
-            #: `sim.schedule` straight to the compiled entry point.
-            self.schedule = core.schedule
-            if hooks is not None:
-                self.set_hooks(hooks)
-
-        # -- state lives in the core ----------------------------------
-        @property
-        def hooks(self) -> Optional[Any]:
-            return self._core.hooks
-
-        @hooks.setter
-        def hooks(self, value: Optional[Any]) -> None:
-            self._core.hooks = value
-
-        @property
-        def now(self) -> int:
-            return self._core.now
-
-        @property
-        def events_executed(self) -> int:
-            return self._core.events_executed
-
-        @property
-        def _queue(self) -> List[tuple]:
-            return self._core.queue
-
-        # -- hot loops ------------------------------------------------
-        def step(self) -> bool:
-            return self._core.step()
-
-        def run(self, until: Optional[int] = None) -> None:
-            if until is None:
-                self._core.run_all()
-            else:
-                self._core.run_until(until)
-
-        def run_until_triggered(self, event: Event) -> Any:
-            self._core.run_until_triggered(event)
-            return event.value
-
-        def advance(self, time: int) -> bool:
-            """Always refuses: the core's loops publish no stop rules."""
-            return False
-
-        def _maybe_compact(self) -> None:
-            self._core.maybe_compact()
-
-    Simulator = _NativeSimulator  # type: ignore[misc]

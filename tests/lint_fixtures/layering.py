@@ -7,4 +7,4 @@ from repro.obs import Observer
 from repro.net.headers import TCPFlags
 from repro.sim.engine import us
 import repro._native
-from repro._native import EngineCore
+from repro._native import raw_sum

@@ -1,4 +1,5 @@
-"""The optional compiled hot core and its import-time dispatch.
+"""The optional compiled checksum and mbuf twins and their import-time
+dispatch.
 
 Two families of checks:
 
@@ -82,17 +83,6 @@ def test_repro_native_1_without_extension_raises():
     assert "REPRO_NATIVE" in out.stderr
 
 
-@requires_native
-def test_simulator_class_follows_dispatch():
-    from repro.sim import engine
-
-    if native_dispatch.NATIVE_IN_USE:
-        assert engine.Simulator.__name__ == "_NativeSimulator"
-        assert issubclass(engine.Simulator, engine._PurePythonSimulator)
-    else:
-        assert engine.Simulator.__name__ == "Simulator"
-
-
 # ----------------------------------------------------------------------
 # Native vs pure equivalence (direct, function-by-function)
 # ----------------------------------------------------------------------
@@ -128,29 +118,3 @@ def test_mbuf_chain_helpers_match_pure():
     assert str(err.value) == (
         f"slice [0:{chain.length + 1}] outside chain of "
         f"{chain.length} bytes")
-
-
-@requires_native_in_use
-def test_engine_trace_identical_to_pure():
-    """The same workload steps through both engines identically."""
-    from repro.sim import engine
-
-    def workload(sim_cls):
-        sim = sim_cls(tiebreak="fifo")
-        trace = []
-        rng = random.Random(7)
-
-        def cb(tag):
-            trace.append((sim.now, tag))
-            if tag < 400:
-                sim.schedule(rng.randrange(1, 5000), cb, tag + 7)
-
-        for i in range(40):
-            sim.schedule(rng.randrange(0, 1000), cb, i)
-        handle = sim.schedule(100, cb, 999)
-        handle.cancel()
-        sim.run()
-        return trace, sim.now, sim.events_executed
-
-    assert workload(engine.Simulator) == \
-        workload(engine._PurePythonSimulator)

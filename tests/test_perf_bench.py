@@ -15,15 +15,10 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
-from repro.perf.bench import PATH_DEPENDENT, RUNS
-from repro.perf.native import NATIVE_IN_USE
+from repro.perf.bench import RUNS
 
 COUNTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / \
     "counts.json"
-
-#: The file holds the pure engine's events; the compiled core never
-#: takes the uncontended-charge shortcut (DESIGN.md §7).
-SKIPPED = PATH_DEPENDENT if NATIVE_IN_USE else frozenset()
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +45,7 @@ def test_run_does_the_committed_work(run, committed, fresh):
     assert sorted(got) == sorted(expected), f"{run}: counter set changed"
     moved = {name: f"{expected[name]} -> {got[name]}"
              for name in sorted(expected)
-             if name not in SKIPPED and got[name] != expected[name]}
+             if got[name] != expected[name]}
     assert not moved, (
         f"{run}: counters moved {moved}; if intended, rewrite "
         f"benchmarks/counts.json with `python -m repro bench` and say "

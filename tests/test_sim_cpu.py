@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.hooks import SimHooks
 from repro.sim import CPU, Event, EventError, Job, Priority, Simulator
-from repro.sim import engine
 
 
 def make_cpu():
@@ -239,10 +238,6 @@ def test_completing_an_already_triggered_job_raises():
 # CPU.run(..., wait=True): an uncontended charge completes inside its
 # submitter
 # ----------------------------------------------------------------------
-#: The shortcut lives in the pure engine (the compiled core's advance()
-#: always refuses), so these tests pin it on the pure engine.
-PureSimulator = getattr(engine, "_PurePythonSimulator", engine.Simulator)
-
 
 def charge(cpu, duration, priority, name):
     """``yield from`` this: the wait=True idiom of the stack."""
@@ -257,28 +252,23 @@ def test_uncontended_host_charges_cost_no_event():
     test_each_charge_costs_one_event, keeps one event per charge)."""
     from repro.kern.host import Host
 
-    def run(sim):
-        host = Host(sim, "h", "10.0.0.9")
+    sim = Simulator()
+    host = Host(sim, "h", "10.0.0.9")
 
-        def syscall():
-            for _ in range(5):
-                yield from host.charge(100, Priority.KERNEL, "step")
+    def syscall():
+        for _ in range(5):
+            yield from host.charge(100, Priority.KERNEL, "step")
 
-        sim.process(syscall())
-        sim.run()
-        assert sim.now == 500
-        assert host.cpu.busy_ns == 500
-        assert host.cpu.jobs_completed == 5
-        return sim.events_executed
-
-    assert run(PureSimulator()) == 1
-    # The compiled core refuses every advance: one event per charge.
-    assert run(engine.Simulator()) == (
-        1 if engine.Simulator is PureSimulator else 6)
+    sim.process(syscall())
+    sim.run()
+    assert sim.now == 500
+    assert host.cpu.busy_ns == 500
+    assert host.cpu.jobs_completed == 5
+    assert sim.events_executed == 1
 
 
 def test_wait_finishes_a_preempting_job_but_not_a_queued_one():
-    sim = PureSimulator()
+    sim = Simulator()
     cpu = CPU(sim, "cpu0")
     seen = []
 
@@ -308,7 +298,7 @@ def test_only_the_last_waiter_of_a_fanned_out_event_may_take(trigger):
     """Two processes wait on one event; the first charges 50 ns with
     wait=True.  Taking the shortcut would move the clock before the
     second waiter ran, so the second must still resume at 100."""
-    sim = PureSimulator()
+    sim = Simulator()
     cpu = CPU(sim, "cpu0")
     if trigger == "timeout":
         tick = sim.timeout(100)
@@ -341,7 +331,7 @@ def _random_run(seed, tiebreak, shortcut):
     """Random processes at random priorities charging with wait=True and
     through plain yields, with random timeouts, shared (fanned-out)
     ticks and cancelled timers, driven across a run(until) deadline."""
-    sim = PureSimulator(tiebreak=tiebreak)
+    sim = Simulator(tiebreak=tiebreak)
     if not shortcut:
         sim.set_hooks(_Silent())
     cpu = CPU(sim, "cpu0")

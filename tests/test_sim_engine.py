@@ -9,12 +9,12 @@ from repro.sim import (
     Event,
     EventError,
     ProcessError,
+    ScheduledCall,
     SchedulingError,
     Simulator,
     to_us,
     us,
 )
-from repro.sim import engine
 
 
 def test_time_starts_at_zero():
@@ -73,7 +73,7 @@ def test_cancel_is_idempotent():
     sim.run()
 
 
-def test_handle_contract_is_the_same_on_both_engines():
+def test_handle_is_time_fn_args_and_cancel():
     """A handle is time, fn and args plus cancel(): ``cancelled`` is
     read-only, cancel() clears fn, and there is no seq, key or order."""
     sim = Simulator()
@@ -300,18 +300,17 @@ class TestHotPathMachinery:
     """The perf machinery behind the fast path: heap compaction, the
     inline hooks test and the direct timeout dispatch — all invisible
     to simulation results (see tests/test_perf_equivalence.py for the
-    end-to-end byte-identity proof).  Neither engine pools handles: each
-    is dropped once it has run, so the pool tests check that a run
-    leaves no spent handle alive."""
+    end-to-end byte-identity proof).  The engine pools no handles: each
+    is dropped once it has run, so a run leaves no spent handle
+    alive."""
 
     @staticmethod
     def _live_handles():
-        """Live handles of the engine in use, pure or compiled."""
-        handle_type = type(Simulator().schedule(0, lambda: None))
+        """How many ScheduledCall handles are alive."""
         return sum(1 for obj in gc.get_objects()
-                   if type(obj) is handle_type)
+                   if type(obj) is ScheduledCall)
 
-    def test_dispatched_handles_are_pooled_and_reused(self):
+    def test_dispatched_handles_are_freed(self):
         gc.collect()
         live_before = self._live_handles()
         sim = Simulator()
@@ -400,8 +399,8 @@ class TestHotPathMachinery:
         with pytest.raises(EventError):
             sim.run()
 
-    def test_pool_never_grows_beyond_cap(self):
-        """The cap is zero: a long run keeps no spent handle either."""
+    def test_long_run_keeps_no_spent_handle(self):
+        """1500 dispatches leave no more live handles than before."""
         gc.collect()
         live_before = self._live_handles()
         sim = Simulator()
@@ -548,12 +547,6 @@ class TestKernelContract:
         assert results[0][2] == 3 * 5 + 1  # starts, timeouts, the end
 
 
-#: advance() is a pure-engine shortcut (the compiled core always
-#: refuses), so its contract is checked on the pure engine under either
-#: path.
-PureSimulator = getattr(engine, "_PurePythonSimulator", engine.Simulator)
-
-
 class TestAdvance:
     """Simulator.advance(time) moves the clock only when the running
     loop would dispatch nothing first; one test per refusal rule."""
@@ -575,7 +568,7 @@ class TestAdvance:
         return seen
 
     def test_advance_moves_the_clock_without_an_event(self):
-        sim = PureSimulator()
+        sim = Simulator()
         seen = self._advance_at(sim, 10, 50)
         sim.schedule(100, seen.append, "later")
         sim.run()
@@ -584,7 +577,7 @@ class TestAdvance:
         assert sim.events_executed == 2
 
     def test_refuses_when_a_live_entry_is_due_sooner(self):
-        sim = PureSimulator()
+        sim = Simulator()
         sooner = []
         seen = self._advance_at(
             sim, 10, 50, lambda: sim.schedule(30, sooner.append, sim.now))
@@ -596,7 +589,7 @@ class TestAdvance:
     def test_an_entry_due_exactly_at_the_target_refuses(self):
         """Under FIFO the entry was scheduled first, so it would run
         before an event scheduled for the same time."""
-        sim = PureSimulator()
+        sim = Simulator()
         same = []
         seen = self._advance_at(
             sim, 10, 50, lambda: sim.schedule(50, same.append, sim.now))
@@ -605,7 +598,7 @@ class TestAdvance:
         assert same == [10]
 
     def test_cancelled_entries_ahead_do_not_refuse(self):
-        sim = PureSimulator()
+        sim = Simulator()
         seen = self._advance_at(
             sim, 10, 50, lambda: sim.schedule(30, seen.append, "x").cancel())
         sim.run()
@@ -614,34 +607,34 @@ class TestAdvance:
     def test_refuses_with_hooks_installed(self):
         from repro.obs.hooks import SimHooks
 
-        sim = PureSimulator(hooks=SimHooks())
+        sim = Simulator(hooks=SimHooks())
         seen = self._advance_at(sim, 10, 50)
         sim.run()
         assert seen == [False, 10]
 
     def test_refuses_inside_step(self):
-        sim = PureSimulator()
+        sim = Simulator()
         seen = self._advance_at(sim, 10, 50)
         assert sim.step() is True
         assert seen == [False, 10]
         assert sim.now == 10
 
     def test_refuses_past_the_run_until_deadline(self):
-        sim = PureSimulator()
+        sim = Simulator()
         seen = self._advance_at(sim, 80, 21)
         sim.run(until=100)
         assert seen == [False, 80]
         assert sim.now == 100
 
     def test_accepted_exactly_at_the_run_until_deadline(self):
-        sim = PureSimulator()
+        sim = Simulator()
         seen = self._advance_at(sim, 80, 20)
         sim.run(until=100)
         assert seen == [True, 100]
         assert sim.now == 100
 
     def test_refuses_once_the_stop_event_triggered_in_this_dispatch(self):
-        sim = PureSimulator()
+        sim = Simulator()
         done = sim.event()
         seen = self._advance_at(sim, 10, 50, lambda: done.succeed("stop"))
         assert sim.run_until_triggered(done) == "stop"
@@ -650,7 +643,7 @@ class TestAdvance:
         assert sim.now == 10
 
     def test_refuses_outside_any_loop(self):
-        sim = PureSimulator()
+        sim = Simulator()
         assert sim.advance(50) is False
         assert sim.now == 0
         sim.schedule(50, lambda: None)
@@ -660,7 +653,7 @@ class TestAdvance:
         assert sim.now == 50
 
     def test_refuses_in_all_but_the_last_waiter_of_a_fanned_out_event(self):
-        sim = PureSimulator()
+        sim = Simulator()
         tick = sim.event()
         sim.schedule(100, tick.succeed)
         seen = []
@@ -680,7 +673,7 @@ class TestAdvance:
         same-time event keeps its key and its turn."""
 
         def order(shortcut):
-            sim = PureSimulator(tiebreak="shuffle:3")
+            sim = Simulator(tiebreak="shuffle:3")
             ran = []
 
             def burst():
@@ -701,11 +694,3 @@ class TestAdvance:
 
         assert order(shortcut=True) == order(shortcut=False)
         assert order(shortcut=True) != list(range(8))
-
-    @pytest.mark.skipif(engine.Simulator is PureSimulator,
-                        reason="the compiled engine core is not in use")
-    def test_the_compiled_core_always_refuses(self):
-        sim = engine.Simulator()
-        seen = self._advance_at(sim, 10, 50)
-        sim.run()
-        assert seen == [False, 10]
