@@ -11,7 +11,8 @@ surface of each run against the FIFO baseline:
 
 * the tcpdump-style packet log, line by line (byte-identical required),
 * the measured per-iteration RTT samples,
-* conservation counters (TCP segments, IPQ enqueue/dequeue, CPU jobs).
+* conservation counters (TCP segments, IPQ enqueue/dequeue, CPU jobs)
+  and each host's measured Table 2/3 span totals.
 
 Any difference means some handler pair racing at the same timestamp
 reaches shared state in an order-dependent way — exactly the class of
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.analysis.invariants import InvariantHooks, check_ipq_conservation
 from repro.core.experiment import RoundTripBenchmark
 from repro.core.packetlog import attach_packet_log
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import build_pair
 from repro.kern.config import KernelConfig
 
 __all__ = ["RunDigest", "Divergence", "RaceReport", "DEFAULT_PERTURBATIONS",
@@ -46,7 +47,7 @@ class RunDigest:
     tiebreak: str
     lines: List[str] = field(default_factory=list)
     samples: List[float] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
+    counters: Dict[str, float] = field(default_factory=dict)
     invariant_violations: List[str] = field(default_factory=list)
 
 
@@ -167,22 +168,17 @@ def digest_round_trip(network: str = "atm",
                       warmup: int = 1,
                       tiebreak: Optional[str] = None) -> RunDigest:
     """Run one echo benchmark under *tiebreak* and digest everything
-    observable: packet log, RTT samples, conservation counters,
-    invariant checks."""
+    observable: packet log, RTT samples, conservation counters, span
+    totals, invariant checks."""
     hooks = InvariantHooks()
-    if network == "atm":
-        testbed = build_atm_pair(config=config, tiebreak=tiebreak)
-    elif network == "ethernet":
-        testbed = build_ethernet_pair(config=config, tiebreak=tiebreak)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    testbed = build_pair(network, config=config, tiebreak=tiebreak)
     testbed.sim.set_hooks(hooks)
     log = attach_packet_log(testbed)
     bench = RoundTripBenchmark(testbed, size, iterations=iterations,
                                warmup=warmup)
     result = bench.run()
 
-    counters: Dict[str, int] = {"echo_errors": result.echo_errors}
+    counters: Dict[str, float] = {"echo_errors": result.echo_errors}
     for host in testbed.hosts:
         prefix = host.name
         counters[f"{prefix}.ipq.enqueued"] = host.softnet.enqueued
@@ -194,6 +190,8 @@ def digest_round_trip(network: str = "atm",
         conns = host.tcp.connection_stats()
         for fname in ("segs_sent", "segs_received", "retransmits"):
             counters[f"{prefix}.tcp.{fname}"] = getattr(conns, fname)
+        for name in host.tracer.names():
+            counters[f"{prefix}.span.{name}"] = host.tracer.total_us(name)
 
     violations = list(hooks.violations)
     for host in testbed.hosts:

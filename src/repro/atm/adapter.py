@@ -267,19 +267,16 @@ class ForeTca100:
         self.stats.packets_received += 1
         self.stats.cells_received += n_cells
 
-        span = "rx.atm" if data_bearing else "rx.ack.atm"
-        wait_us = (host.sim.now - arrived_at) / 1000.0
-        host.tracer.record_value(span, wait_us)
         lin = host.lineage
         seg_rec = None
         if lin is not None:
             # Re-attach the sender's causal record (shared recorder,
-            # keyed by the IP ident) and log the interrupt+drain span.
+            # keyed by the IP ident); the interrupt+drain span joins it.
             seg_rec = lin.match_pdu(pdu)
             if seg_rec is not None:
                 seg_rec.rx_host = host.name
-                seg_rec.add(span, host.name, arrived_at, host.sim.now,
-                            wait_us)
+        host.tracer.record_value("rx.atm" if data_bearing else "rx.ack.atm",
+                                 arrived_at, seg_rec)
 
         # AAL3/4 error detection: the adapter checks per-cell CRC-10s
         # and CPCS framing in hardware.  A wire fault the CRCs caught

@@ -41,7 +41,7 @@ from repro.chaos.impair import ImpairmentConfig, Impairments
 from repro.core.experiment import RoundTripBenchmark
 from repro.core.packetlog import attach_packet_log
 from repro.core.report import format_table
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import build_pair
 from repro.kern.config import KernelConfig
 from repro.sim.engine import us
 from repro.sim.errors import Deadlock
@@ -121,16 +121,10 @@ def run_chaos_cell(size: int = 1400, loss: float = 0.0,
         impairment_config = ImpairmentConfig(seed=seed, p_drop=loss)
     impairments = Impairments(impairment_config)
     hooks = InvariantHooks()
-    if network == "atm":
-        testbed = build_atm_pair(config=kconfig, tiebreak=tiebreak,
-                                 impairments=impairments)
-        effective_mss = kconfig.mss_atm
-    elif network == "ethernet":
-        testbed = build_ethernet_pair(config=kconfig, tiebreak=tiebreak,
-                                      impairments=impairments)
-        effective_mss = kconfig.mss_ethernet
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    testbed = build_pair(network, config=kconfig, tiebreak=tiebreak,
+                         impairments=impairments)
+    effective_mss = (kconfig.mss_atm if network == "atm"
+                     else kconfig.mss_ethernet)
     testbed.sim.set_hooks(hooks)
     log = attach_packet_log(testbed)
 

@@ -44,7 +44,7 @@ from repro.analysis.invariants import (
 )
 from repro.chaos.fuzz import FuzzConfig, PacketFuzzer
 from repro.core.experiment import RoundTripBenchmark
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import build_pair
 from repro.kern.config import KernelConfig
 from repro.sim.engine import us
 from repro.sim.errors import Deadlock
@@ -209,14 +209,8 @@ def run_fuzz_cell(size: int = 1400, seed: int = 1994,
     else:
         fuzzer = PacketFuzzer(FuzzConfig(seed=seed, p_mutate=p_mutate))
     hooks = InvariantHooks()
-    if network == "atm":
-        testbed = build_atm_pair(config=kconfig, tiebreak=tiebreak,
-                                 impairments=fuzzer)
-    elif network == "ethernet":
-        testbed = build_ethernet_pair(config=kconfig, tiebreak=tiebreak,
-                                      impairments=fuzzer)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    testbed = build_pair(network, config=kconfig, tiebreak=tiebreak,
+                         impairments=fuzzer)
     testbed.sim.set_hooks(hooks)
 
     result = FuzzCellResult(network=network, size=size, seed=seed,

@@ -26,7 +26,7 @@ from repro.core.experiment import (
     SERVER_PORT,
     payload_pattern,
 )
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import build_pair
 from repro.faults.injector import FaultInjector
 from repro.kern.config import ChecksumMode, KernelConfig
 
@@ -66,10 +66,7 @@ def run_error_study(size: int = 1400, iterations: int = 60,
                     seed: int = 1994) -> ErrorStudyResult:
     """Run the echo benchmark under fault injection and count detections."""
     config = KernelConfig(checksum_mode=checksum_mode)
-    if network == "atm":
-        testbed = build_atm_pair(config=config)
-    else:
-        testbed = build_ethernet_pair(config=config)
+    testbed = build_pair(network, config=config)
     injector = FaultInjector(seed=seed, p_link=p_link,
                              p_controller=p_controller,
                              p_gateway=p_gateway)

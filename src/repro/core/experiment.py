@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.kern.config import KernelConfig
-from repro.core.testbed import Testbed, build_atm_pair, build_ethernet_pair
+from repro.core.testbed import Testbed, build_pair
 from repro.hw.costs import MachineCosts
 
 __all__ = ["RoundTripResult", "RoundTripBenchmark", "run_round_trip",
@@ -45,11 +45,6 @@ class RoundTripResult:
     client_stats: Optional[dict] = None
     server_stats: Optional[dict] = None
     echo_errors: int = 0
-    #: SpanTracer snapshots taken just before the warmup reset, so the
-    #: connection-setup/warmup spans survive (Observer.merge_spans folds
-    #: them in with SpanStats.merge for whole-run aggregation).
-    warmup_client_spans: Optional[Dict[str, dict]] = None
-    warmup_server_spans: Optional[Dict[str, dict]] = None
 
     @property
     def mean_rtt_us(self) -> float:
@@ -119,11 +114,9 @@ class RoundTripBenchmark:
         for i in range(self.warmup + self.iterations):
             if i == self.warmup:
                 # Steady state reached: start measuring, like the
-                # paper's timer placed after connection setup.  The
-                # warmup spans are snapshotted first so nothing is
-                # lost to the reset (satellite of the obs pipeline).
-                self.result.warmup_client_spans = tb.client.tracer.snapshot()
-                self.result.warmup_server_spans = tb.server.tracer.snapshot()
+                # paper's timer placed after connection setup.  An
+                # attached observer has already streamed the warmup
+                # spans, so its whole-run aggregate keeps them.
                 tb.client.tracer.reset()
                 tb.server.tracer.reset()
                 # Lineage/flow recorders mark the same boundary so
@@ -181,28 +174,14 @@ def run_round_trip(size: int, network: str = "atm",
     :class:`repro.chaos.Impairments`) injects wire faults; None leaves
     the run byte-identical to the seed.
     """
-    if network == "atm":
-        testbed = build_atm_pair(config=config, costs=costs,
-                                 observer=observer, tiebreak=tiebreak,
-                                 impairments=impairments)
-    elif network == "ethernet":
-        testbed = build_ethernet_pair(config=config, costs=costs,
-                                      observer=observer,
-                                      tiebreak=tiebreak,
-                                      impairments=impairments)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    testbed = build_pair(network, config=config, costs=costs,
+                         observer=observer, tiebreak=tiebreak,
+                         impairments=impairments)
     bench = RoundTripBenchmark(testbed, size, iterations=iterations,
                                warmup=warmup)
     result = bench.run()
     if observer is not None:
-        observer.collect(testbed)
-        if result.warmup_client_spans:
-            observer.merge_spans(testbed.client.name,
-                                 result.warmup_client_spans)
-        if result.warmup_server_spans:
-            observer.merge_spans(testbed.server.name,
-                                 result.warmup_server_spans)
+        observer.collect()
     return result
 
 

@@ -16,7 +16,7 @@ from repro.kern.config import KernelConfig
 from repro.kern.host import Host
 from repro.sim.engine import Simulator
 
-__all__ = ["Testbed", "build_atm_pair", "build_ethernet_pair"]
+__all__ = ["Testbed", "build_pair", "build_atm_pair", "build_ethernet_pair"]
 
 
 class Testbed:
@@ -102,3 +102,17 @@ def build_ethernet_pair(config: Optional[KernelConfig] = None,
     if impairments is not None:
         impairments.attach(testbed)
     return testbed
+
+
+def build_pair(network: str, **kwargs) -> Testbed:
+    """The testbed for *network*, ``"atm"`` or ``"ethernet"``.
+
+    Keyword arguments go to :func:`build_atm_pair` or
+    :func:`build_ethernet_pair`; any other network name raises
+    ``ValueError``.
+    """
+    if network == "atm":
+        return build_atm_pair(**kwargs)
+    if network == "ethernet":
+        return build_ethernet_pair(**kwargs)
+    raise ValueError(f"unknown network {network!r}")

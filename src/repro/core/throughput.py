@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.experiment import SERVER_PORT, payload_pattern
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import build_pair
 from repro.kern.config import ChecksumMode, KernelConfig
 
 __all__ = ["ThroughputResult", "run_bulk_throughput"]
@@ -55,12 +55,7 @@ def run_bulk_throughput(total_bytes: int = 400_000,
         # the driver drains, so the transfer stays loss-free.
         config = KernelConfig(checksum_mode=checksum_mode,
                               sendspace=32 * 1024, recvspace=12 * 1024)
-    if network == "atm":
-        tb = build_atm_pair(config=config)
-    elif network == "ethernet":
-        tb = build_ethernet_pair(config=config)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    tb = build_pair(network, config=config)
 
     payload = payload_pattern(total_bytes)
     timing = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SERVER_PORT, payload_pattern
-from repro.core.testbed import Testbed, build_atm_pair, build_ethernet_pair
+from repro.core.testbed import Testbed, build_pair
 from repro.kern.config import KernelConfig
 
 __all__ = ["RPCMix", "MixResult", "LRPC_MIX", "NFS_MIX", "BULKY_MIX",
@@ -83,12 +83,7 @@ def run_mix(mix: RPCMix, config: Optional[KernelConfig] = None,
     """Measure every call class in the mix on one connection and return
     the weighted mean (call classes interleave on the same connection,
     like real RPC traffic on a cached binding)."""
-    if network == "atm":
-        tb = build_atm_pair(config=config)
-    elif network == "ethernet":
-        tb = build_ethernet_pair(config=config)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    tb = build_pair(network, config=config)
 
     calls = mix.normalized()
     schedule: List[Tuple[int, RPCCall]] = []
@@ -184,12 +179,7 @@ def run_connection_scale(connections: int, rounds: int = 2,
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    if network == "atm":
-        tb = build_atm_pair(config=config)
-    elif network == "ethernet":
-        tb = build_ethernet_pair(config=config)
-    else:
-        raise ValueError(f"unknown network {network!r}")
+    tb = build_pair(network, config=config)
     from repro.sim.resources import Semaphore
 
     req_payload = payload_pattern(request)

@@ -207,17 +207,15 @@ class LanceEthernet:
             yield job
         # Frame copied out of the adapter: the ring descriptor is free.
         self._rx_ring_frames -= 1
-        span = "rx.ether" if data_bearing else "rx.ack.ether"
-        wait_us = (host.sim.now - arrived_at) / 1000.0
-        host.tracer.record_value(span, wait_us)
         lin = host.lineage
         seg_rec = None
         if lin is not None:
             seg_rec = lin.match_pdu(frame_payload)
             if seg_rec is not None:
                 seg_rec.rx_host = host.name
-                seg_rec.add(span, host.name, arrived_at, host.sim.now,
-                            wait_us)
+        host.tracer.record_value(
+            "rx.ether" if data_bearing else "rx.ack.ether", arrived_at,
+            seg_rec)
         self.stats.frames_received += 1
         self.stats.bytes_received += len(frame_payload)
         if wire_fault is not None and wire_fault.detected_by_link_check:

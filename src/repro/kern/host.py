@@ -45,7 +45,7 @@ class Host:
 
         self.cpu = CPU(sim, f"{name}.cpu")
         self.clock = ClockCard(sim)
-        self.tracer = SpanTracer(self.clock)
+        self.tracer = SpanTracer(self.clock, name)
         self.pool = MbufPool(self.costs, sanitize=self.config.sanitize)
         self.scheduler = ProcessScheduler(sim, self.cpu, self.costs,
                                           self.tracer)
@@ -87,8 +87,6 @@ class Host:
         #: mid-tcp_output would shift the send buffer under the copy.
         self.splnet = Semaphore(sim, value=1, name=f"{name}.splnet")
         self.softnet.splnet = self.splnet
-        self.softnet.host_name = name
-        self.scheduler.host_name = name
 
     def _tcp_input(self, packet):
         yield from self.tcp.input(packet, Priority.SOFT_INTR)
@@ -117,20 +115,14 @@ class Host:
         """Charge CPU time, optionally recording it as a latency span.
 
         With *lineage* (a duck-typed record from repro.obs.lineage), the
-        span occurrence is also appended to that causal chain, carrying
-        the exact duration the tracer computed.
+        tracer also appends the span occurrence to that causal chain.
         """
-        token = self.tracer.begin(span) if span else None
-        start_ns = self.sim.now if lineage is not None else 0
-        cpu = self.cpu
-        job = cpu.run(cost_ns, priority, label, wait=True)
+        start_ns = self.sim.now
+        job = self.cpu.run(cost_ns, priority, label, wait=True)
         if job is not None:
             yield job
-        if token is not None:
-            duration_us = self.tracer.end(token)
-            if lineage is not None:
-                lineage.add(span, self.name, start_ns, self.sim.now,
-                            duration_us)
+        if span:
+            self.tracer.end(span, start_ns, lineage)
 
     def socket(self) -> Socket:
         """A fresh unconnected socket on this host."""

@@ -26,7 +26,7 @@ class ProcessScheduler:
     """Sleep channels plus wakeup/context-switch cost accounting."""
 
     def __init__(self, sim: Simulator, cpu: CPU, costs,
-                 tracer: Optional[SpanTracer] = None):
+                 tracer: SpanTracer):
         self.sim = sim
         self.cpu = cpu
         self.costs = costs
@@ -37,9 +37,8 @@ class ProcessScheduler:
         #: Observability scope (repro.obs), installed by Observer.attach.
         self.metrics = None
         #: Causal lineage recorder (repro.obs.lineage), installed by
-        #: Observer.attach(lineage=True); host_name is set by the Host.
+        #: Observer.attach(lineage=True).
         self.lineage = None
-        self.host_name = ""
 
     def _channel(self, chan: Hashable) -> Signal:
         signal = self._channels.get(chan)
@@ -74,13 +73,10 @@ class ProcessScheduler:
             self.metrics.inc("sched.cswitch")
             self.metrics.observe(
                 "sched.wakeup_us", (self.sim.now - wake_time_ns) / 1000.0)
-        if span and self.tracer is not None:
-            wait_us = (self.sim.now - wake_time_ns) / 1000.0
-            self.tracer.record_value(span, wait_us)
-            if self.lineage is not None:
-                self.lineage.free_event(span, self.host_name,
-                                        wake_time_ns, self.sim.now,
-                                        wait_us)
+        if span:
+            # A host-level span: it joins the recorder's event log but
+            # no single causal record.
+            self.tracer.record_value(span, wake_time_ns, self.lineage)
 
     def wakeup(self, chan: Hashable,
                priority: int = Priority.SOFT_INTR) -> Generator:

@@ -33,7 +33,7 @@ class SoftNet:
     IPQ_MAX = 50
 
     def __init__(self, sim: Simulator, cpu: CPU, costs,
-                 tracer: Optional[SpanTracer] = None):
+                 tracer: SpanTracer):
         self.sim = sim
         self.cpu = cpu
         self.costs = costs
@@ -59,9 +59,8 @@ class SoftNet:
         #: Observability scope (repro.obs), installed by Observer.attach.
         self.metrics = None
         #: Causal lineage recorder (repro.obs.lineage), installed by
-        #: Observer.attach(lineage=True); host_name is set by the Host.
+        #: Observer.attach(lineage=True).
         self.lineage = None
-        self.host_name = ""
 
     @property
     def queue_length(self) -> int:
@@ -126,20 +125,15 @@ class SoftNet:
                 self.sim.process(self._netisr(), name="netisr")
 
     def _record_ipq_span(self, packet: Packet) -> None:
-        if packet.enqueued_ipq_at is None:
+        enqueued_at = packet.enqueued_ipq_at
+        if enqueued_at is None:
             return
-        wait_us = (self.sim.now - packet.enqueued_ipq_at) / 1000.0
         if self.metrics is not None:
-            self.metrics.observe("ipq.wait_us", wait_us)
-        if self.tracer is None:
-            return
+            self.metrics.observe("ipq.wait_us",
+                                 (self.sim.now - enqueued_at) / 1000.0)
         try:
             data_bearing = len(packet.payload) > 0
         except Exception:
             data_bearing = False  # unparseable (corrupted) datagram
         span = "rx.ipq" if data_bearing else "rx.ack.ipq"
-        self.tracer.record_value(span, wait_us)
-        if self.lineage is not None and packet.lineage is not None:
-            packet.lineage.add(span, self.host_name,
-                               packet.enqueued_ipq_at, self.sim.now,
-                               wait_us)
+        self.tracer.record_value(span, enqueued_at, packet.lineage)

@@ -105,7 +105,7 @@ def metrics_csv(observer) -> str:
     One row per datum: ``kind,name,field,value``.  Counters get a
     single ``value`` row; gauges get ``value`` and ``max``; histograms
     get ``count``/``sum``/``mean``; spans are scoped ``host.span`` names
-    with the snapshot's five statistics.  Keys are sorted, so the byte
+    with the aggregate's five statistics.  Keys are sorted, so the byte
     stream is deterministic for identical runs.
     """
     snap = observer.metrics.snapshot()

@@ -10,12 +10,14 @@ shares the same recorder through the :class:`~repro.obs.observer.Observer`
 events (IPQ wait, IP input, TCP input, socket wakeup, user copy) until
 :class:`DeliveryLineage` closes the chain at the ``read`` system call.
 
-Every event lands in **one global insertion-ordered log** as well as on
-its record.  Aggregating that log per ``(host, span-name)`` in insertion
-order reproduces the exact float-summation order of the per-host
-:class:`~repro.sim.trace.SpanTracer`, which is what makes
-:func:`repro.core.breakdown.breakdown_from_lineage` byte-for-byte equal
-to the span-derived Table 2/3 figures.
+Span events are appended by the :class:`~repro.sim.trace.SpanTracer`
+call that records the span, so a span occurrence is recorded once and
+the lineage event carries the tracer's own duration.  Every event lands
+in **one global insertion-ordered log** as well as on its record.
+Aggregating that log per ``(host, span-name)`` in insertion order
+reproduces the exact float-summation order of the per-host tracer,
+which is what makes :func:`repro.core.breakdown.breakdown_from_lineage`
+byte-for-byte equal to the span-derived Table 2/3 figures.
 
 The stack never imports this module: hosts carry ``host.lineage = None``
 by default and every call site is duck-typed behind a single ``is not
@@ -40,10 +42,11 @@ __all__ = [
 class LineageEvent:
     """One span occurrence on a causal chain.
 
-    ``duration_us`` is the duration *as the recording site computed it*
+    ``duration_us`` is the duration *as the tracer computed it*
     (tick-quantized for CPU charges, raw ``ns / 1000`` for the queue-wait
     style spans) so lineage aggregation reproduces the tracer's floats
-    exactly.
+    exactly.  The adapters' ``wire.*`` events are lineage-only and
+    carry the raw wire time.
     """
 
     __slots__ = ("name", "host", "start_ns", "end_ns", "duration_us")
@@ -199,7 +202,7 @@ class LineageRecorder:
         self._ids = itertools.count(1)
         # Warmup boundary: indices into the four lists above, set by
         # mark().  Index-based (not time-based) so the boundary matches
-        # the tracer's snapshot/reset semantics exactly.
+        # the tracer's reset exactly.
         self._mark = (0, 0, 0, 0)
 
     # ------------------------------------------------------------------
@@ -222,8 +225,8 @@ class LineageRecorder:
         self.deliveries.append(rec)
         return rec
 
-    def free_event(self, name: str, host: str, start_ns: int, end_ns: int,
-                   duration_us: float) -> LineageEvent:
+    def add(self, name: str, host: str, start_ns: int, end_ns: int,
+            duration_us: float) -> LineageEvent:
         """A host-level event not tied to one record (e.g. rx.wakeup)."""
         ev = LineageEvent(name, host, start_ns, end_ns, duration_us)
         self.events.append(ev)
@@ -301,7 +304,7 @@ class LineageRecorder:
         Filtering by *host* and accumulating in global insertion order
         reproduces the per-host tracer's float-summation order exactly;
         the totals are byte-for-byte identical to
-        ``tracer.snapshot()[name].total_us``.
+        ``tracer.total_us(name)``.
         """
         totals: Dict[str, float] = {}
         for ev in self.measured_events():

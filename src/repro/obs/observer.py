@@ -11,7 +11,8 @@ to see everything the paper's measurement methodology sees — and more:
 * it sinks :class:`~repro.sim.trace.SpanTracer` spans (the paper's
   ``tx.user`` ... ``rx.wakeup`` rows) and
   :class:`~repro.core.packetlog.PacketLog` packets into the same event
-  stream;
+  stream, and sums the span stream into per-host whole-run aggregates
+  (warmup included);
 * it publishes the stack's own counters (``IPStats``, ``TCPLayerStats``,
   every ``ConnectionStats``, the interface, IP-queue, scheduler, mbuf
   pool and CPU counters) when :meth:`collect` is called at end of run,
@@ -162,12 +163,9 @@ class Observer:
         self.metrics = MetricsRegistry()
         #: Chrome-format event dicts (ts/dur in float microseconds).
         self.trace_events: List[dict] = []
-        #: host name -> merged span snapshot (see SpanTracer.snapshot).
-        self.spans: Dict[str, Dict[str, dict]] = {}
-        #: host name -> the snapshots :attr:`spans` merges, in order:
-        #: each collected tracer's latest one (replaced in place when
-        #: collected again) and every :meth:`merge_spans` input.
-        self._span_parts: Dict[str, Dict[Any, Dict[str, dict]]] = {}
+        #: host name -> span name -> aggregate of every span streamed
+        #: by a host of that name, in occurrence order.
+        self._spans: Dict[str, Dict[str, SpanStats]] = {}
         self.capture_packets = capture_packets
         self.packet_log = None  # created on attach when capturing
         #: Causal packet lineage (repro.obs.lineage); one recorder is
@@ -220,12 +218,25 @@ class Observer:
             host.softnet.lineage = self.lineage
         if self.flow is not None:
             host.flow = self.flow
+        spans = self._spans.setdefault(host.name, {})
 
         def span_sink(name: str, duration_us: float, end_us: float,
                       _pid: int = pid) -> None:
+            stats = spans.get(name)
+            if stats is None:
+                stats = spans[name] = SpanStats(name)
+            stats.add(duration_us)
             self.on_span(_pid, name, duration_us, end_us)
 
         host.tracer.sink = span_sink
+
+    @property
+    def spans(self) -> Dict[str, Dict[str, dict]]:
+        """host name -> span name -> whole-run aggregate as a dict
+        (:meth:`SpanStats.as_dict`), warmup and every run included."""
+        return {host: {name: stats.as_dict()
+                       for name, stats in spans.items()}
+                for host, spans in self._spans.items()}
 
     def pid_for_cpu(self, cpu_name: str) -> int:
         return self._pid_by_cpu.get(cpu_name, 0)
@@ -294,22 +305,13 @@ class Observer:
     # ------------------------------------------------------------------
     # End-of-run collection
     # ------------------------------------------------------------------
-    def collect(self, testbed=None) -> None:
-        """Merge span snapshots and publish the stack's own counters.
+    def collect(self) -> None:
+        """Publish the stack's own counters.
 
-        The spans of *testbed* (default: every attached testbed) merge
-        into :attr:`spans`; a tracer collected again replaces its
-        earlier snapshot instead of adding to it.  Every counter is then
-        published once, as a gauge summed over every attached testbed
-        (high-water marks take the maximum), so counts are cumulative
-        across runs and re-collecting is idempotent for both.
+        Every counter is published once, as a gauge summed over every
+        attached testbed (high-water marks take the maximum), so counts
+        are cumulative across runs and re-collecting is idempotent.
         """
-        testbeds = [testbed] if testbed is not None else self.testbeds
-        for tb in testbeds:
-            for host in tb.hosts:
-                self._span_parts.setdefault(host.name, {})[host.tracer] = \
-                    host.tracer.snapshot()
-                self._merge_parts(host.name)
         totals: Dict[str, float] = {}
         for tb in self.testbeds:
             counts = [("sim.events_executed", tb.sim.events_executed)]
@@ -330,20 +332,6 @@ class Observer:
                     totals[name] += value
         for name, value in totals.items():
             self.metrics.set_gauge(name, value)
-
-    def merge_spans(self, host_name: str,
-                    snapshot: Dict[str, dict]) -> None:
-        """Merge a SpanTracer snapshot into this observer's aggregate."""
-        self._span_parts.setdefault(host_name, {})[object()] = snapshot
-        self._merge_parts(host_name)
-
-    def _merge_parts(self, host_name: str) -> None:
-        merged: Dict[str, SpanStats] = {}
-        for snapshot in self._span_parts[host_name].values():
-            for name, stats in snapshot.items():
-                merged.setdefault(name, SpanStats(name)).merge(stats)
-        self.spans[host_name] = {name: stats.as_dict()
-                                 for name, stats in merged.items()}
 
 
 #: Counter names that are high-water marks, not counts.

@@ -17,20 +17,23 @@ Span names used by the stack mirror the paper's tables:
 
 (ACK-path twins carry an ``.ack`` component: ``tx.ack.ip`` etc.)
 
-The tracer is one producer of the unified observability pipeline
-(:mod:`repro.obs`): when a :class:`~repro.obs.observer.Observer` is
-attached it installs itself as :attr:`SpanTracer.sink` and every
-recorded span is additionally streamed as a trace event, so the same
-clock reads that build Tables 2/3 also render as timeline slices in
-``chrome://tracing``/Perfetto.  :meth:`SpanTracer.snapshot` keeps the
-warmup aggregate across a :meth:`SpanTracer.reset`, and
-:meth:`SpanStats.merge` folds snapshots together for multi-run
-aggregation.
+The tracer is the one place a span occurrence is recorded.  Each span
+site makes one call when the span ends, with its name, its start time
+and the causal lineage record it belongs to (if any): CPU and user
+spans call :meth:`SpanTracer.end`, which counts whole clock ticks;
+queue waits call :meth:`SpanTracer.record_value`, which keeps raw
+nanoseconds.  That call updates the Table 2/3 aggregate, streams the
+span to the observability pipeline (:mod:`repro.obs`) when an
+:class:`~repro.obs.observer.Observer` has installed itself as
+:attr:`SpanTracer.sink`, and appends a
+:class:`~repro.obs.lineage.LineageEvent` to the record.  The same
+clock reads therefore build Tables 2/3, render as timeline slices in
+``chrome://tracing``/Perfetto, and make up the lineage chain.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.clock import ClockCard
 
@@ -41,7 +44,7 @@ class SpanStats:
     """Aggregate of one span name: count, total and mean microseconds.
 
     ``min_us``/``max_us`` report ``0.0`` until the first recording (not
-    ``inf``), so snapshots serialize to valid JSON.
+    ``inf``), so the aggregate serializes to valid JSON.
     """
 
     __slots__ = ("name", "count", "total_us", "min_us", "max_us")
@@ -66,28 +69,10 @@ class SpanStats:
         return self.total_us / self.count if self.count else 0.0
 
     def as_dict(self) -> dict:
-        """A JSON-serializable snapshot of this span's aggregate."""
+        """A JSON-serializable copy of this span's aggregate."""
         return {"count": self.count, "total_us": self.total_us,
                 "mean_us": self.mean_us, "min_us": self.min_us,
                 "max_us": self.max_us}
-
-    def merge(self, other: Union["SpanStats", Mapping]) -> None:
-        """Fold another aggregate (stats or snapshot dict) into this."""
-        if isinstance(other, SpanStats):
-            count, total = other.count, other.total_us
-            omin, omax = other.min_us, other.max_us
-        else:
-            count, total = other["count"], other["total_us"]
-            omin, omax = other["min_us"], other["max_us"]
-        if count == 0:
-            return
-        if self.count == 0:
-            self.min_us, self.max_us = omin, omax
-        else:
-            self.min_us = min(self.min_us, omin)
-            self.max_us = max(self.max_us, omax)
-        self.count += count
-        self.total_us += total
 
     def __repr__(self) -> str:
         return (f"<SpanStats {self.name} n={self.count} "
@@ -95,12 +80,12 @@ class SpanStats:
 
 
 class SpanTracer:
-    """Records named latency spans with the measurement clock's precision.
+    """Records one host's named latency spans with the clock's precision.
 
-    Spans are recorded as (start_ticks, end_ticks) pairs from a
-    :class:`ClockCard`, so results carry the same 40 ns quantization the
-    paper's numbers do.  ``begin``/``end`` use a token so overlapping
-    spans of the same name (e.g. two in-flight segments) don't collide.
+    A span runs from a start time the site saved to the moment it calls
+    :meth:`end` or :meth:`record_value`.  The site keeps the start
+    itself, so overlapping spans of the same name (e.g. two in-flight
+    segments) never collide.
 
     When :attr:`sink` is set (by an attached observer), every recorded
     span is also forwarded as ``sink(name, duration_us, end_us)`` with
@@ -110,8 +95,10 @@ class SpanTracer:
     cleared for steady-state measurement.
     """
 
-    def __init__(self, clock: ClockCard):
+    def __init__(self, clock: ClockCard, host: str):
         self.clock = clock
+        #: The host name lineage events carry.
+        self.host = host
         self._stats: Dict[str, SpanStats] = {}
         #: Observability pipeline tap: ``sink(name, duration_us, end_us)``.
         self.sink: Optional[Callable[[str, float, float], None]] = None
@@ -119,25 +106,40 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def begin(self, name: str) -> Tuple[str, int]:
-        """Start a span; returns a token to pass to :meth:`end`."""
-        return (name, self.clock.read_ticks())
+    def end(self, name: str, start_ns: int, rec=None) -> float:
+        """Record a CPU or user span from *start_ns* to now.
 
-    def end(self, token: Tuple[str, int]) -> float:
-        """Finish a span; returns its duration in microseconds."""
-        name, start_ticks = token
-        duration = self.clock.delta_us(start_ticks, self.clock.read_ticks())
-        self.record_value(name, duration)
-        return duration
+        The duration counts the whole clock ticks between the two
+        reads, as the paper's clock card does.  *rec* (a lineage record
+        or the :class:`~repro.obs.lineage.LineageRecorder`, duck-typed)
+        gets the occurrence appended.  Returns the duration in µs.
+        """
+        period = self.clock.period_ns
+        now = self.clock.sim.now
+        return self._add(name, start_ns, now,
+                         (now // period - start_ns // period)
+                         * period / 1000.0, rec)
 
-    def record_value(self, name: str, duration_us: float) -> None:
-        """Record a duration, ending now, under *name*."""
+    def record_value(self, name: str, start_ns: int, rec=None) -> float:
+        """Record a queue wait from *start_ns* to now, in raw ns.
+
+        *rec* works as in :meth:`end`.  Returns the duration in µs.
+        """
+        now = self.clock.sim.now
+        return self._add(name, start_ns, now, (now - start_ns) / 1000.0,
+                         rec)
+
+    def _add(self, name: str, start_ns: int, end_ns: int,
+             duration_us: float, rec) -> float:
         stats = self._stats.get(name)
         if stats is None:
             stats = self._stats[name] = SpanStats(name)
         stats.add(duration_us)
         if self.sink is not None:
-            self.sink(name, duration_us, self.clock.sim.now / 1000.0)
+            self.sink(name, duration_us, end_ns / 1000.0)
+        if rec is not None:
+            rec.add(name, self.host, start_ns, end_ns, duration_us)
+        return duration_us
 
     # ------------------------------------------------------------------
     # Query
@@ -161,17 +163,10 @@ class SpanTracer:
     def names(self) -> List[str]:
         return sorted(self._stats)
 
-    # ------------------------------------------------------------------
-    # Snapshot (warmup bookkeeping, multi-run aggregation)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, dict]:
-        """All current aggregates as plain JSON-serializable dicts."""
-        return {name: s.as_dict() for name, s in self._stats.items()}
-
     def reset(self) -> None:
         """Forget all recorded spans (e.g. after a warmup phase).
 
-        Call :meth:`snapshot` first if the data should survive; the
-        pipeline :attr:`sink`, if any, is left installed.
+        The pipeline :attr:`sink`, if any, is left installed, so an
+        observer still sees every span of the run.
         """
         self._stats.clear()

@@ -111,7 +111,7 @@ class Socket:
         remaining = memoryview(bytes(data))
         # The paper's transmit-side *User* span: from the write system
         # call to the beginning of TCP output processing.
-        token = self.host.tracer.begin("tx.user")
+        user_start_ns = self.host.clock.read_ns()
         yield from self._charge_syscall_entry()
         while len(remaining):
             # Enter the protocol section (splnet) before touching the
@@ -137,8 +137,9 @@ class Socket:
                 self._raise_if_cannot_send()
                 try:
                     yield from self._sosend_copyin(bytes(remaining[:take]),
-                                                   token)
-                    token = None  # the span covers the first chunk only
+                                                   user_start_ns)
+                    # The span covers the first chunk only.
+                    user_start_ns = None
                     remaining = remaining[take:]
                 except MbufExhausted:
                     # Lost the last mbufs between the admission check
@@ -156,11 +157,12 @@ class Socket:
         yield from self._charge_syscall_exit()
         return len(data)
 
-    def _sosend_copyin(self, data: bytes, token) -> Generator:
-        """Copy user data into mbufs, charging per the checksum mode."""
+    def _sosend_copyin(self, data: bytes,
+                       user_start_ns: Optional[int]) -> Generator:
+        """Copy user data into mbufs, charging per the checksum mode;
+        ends the *User* span begun at *user_start_ns*, if given."""
         host = self.host
         costs = host.costs
-        tracer = host.tracer
         config = host.config
         use_clusters = len(data) > CLUSTER_THRESHOLD
         mode = config.checksum_mode
@@ -207,12 +209,8 @@ class Socket:
             for mbuf in chain.mbufs:
                 mbuf.lineage = write_rec
         self.so_snd.append(chain)
-        if token is not None:
-            duration_us = tracer.end(token)
-            if write_rec is not None:
-                write_rec.add("tx.user", host.name,
-                              token[1] * host.clock.period_ns,
-                              host.sim.now, duration_us)
+        if user_start_ns is not None:
+            host.tracer.end("tx.user", user_start_ns, write_rec)
 
     def _predicted_chunks(self, total: int) -> Optional[list]:
         """§4.1.1 segment-size prediction: chunk the copy at the
@@ -276,8 +274,7 @@ class Socket:
         """
         host = self.host
         costs = host.costs
-        tracer = host.tracer
-        token = tracer.begin("rx.user")
+        start_ns = host.clock.read_ns()
         take = min(max_bytes, self.so_rcv.cc)
         data = self.so_rcv.peek(take)
         nmbufs = self.so_rcv.mbufs_in_first(take)
@@ -306,11 +303,7 @@ class Socket:
             # caller when the window grows by >= 2 segments).
             yield from self.conn.window_update(Priority.KERNEL)
         yield from self._charge_syscall_exit()
-        duration_us = tracer.end(token)
-        if delivery is not None:
-            delivery.add("rx.user", host.name,
-                         token[1] * host.clock.period_ns, host.sim.now,
-                         duration_us)
+        host.tracer.end("rx.user", start_ns, delivery)
         return data
 
     # ------------------------------------------------------------------

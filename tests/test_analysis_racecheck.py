@@ -132,6 +132,19 @@ def test_compare_digests_reports_first_divergence():
     assert "sample 0" in kinds["samples"].detail
 
 
+def test_span_total_divergence_names_the_span():
+    # A Table 2/3 row that moved with same-time event order is a race.
+    base = digest_round_trip(size=200, iterations=2)
+    assert base.counters["server.span.rx.ipq"] > 0
+    other = RunDigest(tiebreak="lifo", lines=list(base.lines),
+                      samples=list(base.samples),
+                      counters=dict(base.counters))
+    other.counters["server.span.rx.ipq"] += 0.04
+    divergences = compare_digests(base, other)
+    assert [d.kind for d in divergences] == ["counters"]
+    assert divergences[0].detail.startswith("server.span.rx.ipq: ")
+
+
 # ----------------------------------------------------------------------
 # The Table 1 ATM target must be ordering-clean
 # ----------------------------------------------------------------------

@@ -11,8 +11,33 @@ from repro.core.experiment import (
     run_round_trip,
     run_sweep,
 )
-from repro.core.testbed import build_atm_pair
+from repro.core.testbed import build_atm_pair, build_pair
 from repro.kern.config import KernelConfig
+
+
+def _network_entry_points():
+    """The entry points besides run_round_trip (see
+    TestBenchmarkValidation) that build a testbed for a *network*
+    name."""
+    from repro.analysis.racecheck import digest_round_trip
+    from repro.chaos.harness import run_chaos_cell
+    from repro.chaos.triage import run_fuzz_cell
+    from repro.core.errorstudy import run_error_study
+    from repro.core.throughput import run_bulk_throughput
+    from repro.core.workloads import LRPC_MIX, run_connection_scale, run_mix
+
+    return {
+        "build_pair": lambda net: build_pair(net),
+        "run_error_study": lambda net: run_error_study(iterations=1,
+                                                       network=net),
+        "run_bulk_throughput": lambda net: run_bulk_throughput(network=net),
+        "run_mix": lambda net: run_mix(LRPC_MIX, network=net),
+        "run_connection_scale": lambda net: run_connection_scale(
+            2, network=net),
+        "run_chaos_cell": lambda net: run_chaos_cell(network=net),
+        "run_fuzz_cell": lambda net: run_fuzz_cell(network=net),
+        "digest_round_trip": lambda net: digest_round_trip(network=net),
+    }
 
 
 class TestPayloadPattern:
@@ -46,6 +71,12 @@ class TestBenchmarkValidation:
     def test_unknown_network_rejected(self):
         with pytest.raises(ValueError):
             run_round_trip(size=4, network="token-ring")
+
+    @pytest.mark.parametrize("entry", sorted(_network_entry_points()))
+    def test_every_entry_point_rejects_an_unknown_network(self, entry):
+        # run_error_study used to fall through to Ethernet.
+        with pytest.raises(ValueError, match="unknown network 'bogus'"):
+            _network_entry_points()[entry]("bogus")
 
 
 class TestResults:

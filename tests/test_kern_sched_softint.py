@@ -15,7 +15,7 @@ def make_kernel():
     sim = Simulator()
     cpu = CPU(sim)
     costs = decstation_5000_200()
-    tracer = SpanTracer(ClockCard(sim))
+    tracer = SpanTracer(ClockCard(sim), "host")
     sched = ProcessScheduler(sim, cpu, costs, tracer)
     softnet = SoftNet(sim, cpu, costs, tracer)
     return sim, cpu, costs, tracer, sched, softnet

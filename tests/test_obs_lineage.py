@@ -80,11 +80,22 @@ class TestBreakdownFromLineage:
             assert rx.row(row) == result.span_per_transfer("server",
                                                            span)
 
-    def test_aggregate_matches_tracer_totals_exactly(self):
-        obs, result = traced_run(1400, iterations=6, warmup=2)
-        client = obs.lineage.aggregate(host="client")
-        for name, total in client.items():
-            assert total == result.client_spans.get(name, 0.0), name
+    @pytest.mark.parametrize("loss", [0.0, 0.1], ids=["clean", "loss10"])
+    @pytest.mark.parametrize("network", ["atm", "ethernet"])
+    def test_aggregate_matches_tracer_totals_exactly(self, network, loss):
+        from repro.chaos import ImpairmentConfig, Impairments
+
+        impairments = (Impairments(ImpairmentConfig(seed=7, p_drop=loss))
+                       if loss else None)
+        # 20 round trips: long enough for this seed to drop segments.
+        obs, result = traced_run(1400, iterations=20, warmup=2,
+                                 network=network, impairments=impairments)
+        if impairments is not None:
+            assert impairments.stats.drops > 0
+        # Both hosts, both directions: no tracer span is missing from
+        # the lineage aggregate and no name is lineage-only.
+        assert obs.lineage.aggregate(host="client") == result.client_spans
+        assert obs.lineage.aggregate(host="server") == result.server_spans
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ fixes in SpanStats/PacketLog/SpanTracer.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -23,9 +24,8 @@ from repro.obs import (
     trace_jsonl,
     write_chrome_trace,
 )
-from repro.sim.clock import ClockCard
 from repro.sim.engine import Simulator
-from repro.sim.trace import SpanStats, SpanTracer
+from repro.sim.trace import SpanStats
 
 
 # ----------------------------------------------------------------------
@@ -47,15 +47,6 @@ class TestSpanStatsMinFix:
         assert stats.min_us == 4.0
         assert stats.max_us == 25.0
         assert stats.count == 3
-
-    def test_merge_empty_and_full(self):
-        a, b = SpanStats("s"), SpanStats("s")
-        b.add(5.0)
-        b.add(15.0)
-        a.merge(b)          # empty <- full: adopts min/max
-        assert (a.count, a.min_us, a.max_us) == (2, 5.0, 15.0)
-        a.merge(SpanStats("s"))  # full <- empty: unchanged
-        assert (a.count, a.min_us, a.max_us) == (2, 5.0, 15.0)
 
 
 class TestPacketLogLimit:
@@ -91,42 +82,6 @@ class TestPacketLogLimit:
         from repro.core.experiment import RoundTripBenchmark
         RoundTripBenchmark(tb, size=4, iterations=1, warmup=0).run()
         assert seen == log.events
-
-
-class TestSpanTracerSnapshotMerge:
-    def _tracer(self):
-        return SpanTracer(ClockCard(Simulator()))
-
-    def test_snapshot_then_reset_then_merge_recovers(self):
-        tracer = self._tracer()
-        tracer.record_value("tx.user", 12.0)
-        tracer.record_value("tx.user", 8.0)
-        snap = tracer.snapshot()
-        tracer.reset()
-        assert tracer.count("tx.user") == 0
-        tracer.record_value("tx.user", 20.0)
-        merged = tracer.stats("tx.user")
-        merged.merge(snap["tx.user"])      # a snapshot dict
-        assert merged.count == 3
-        assert merged.total_us == pytest.approx(40.0)
-        assert (merged.min_us, merged.max_us) == (8.0, 20.0)
-
-    def test_merge_tracer_into_tracer(self):
-        a, b = self._tracer(), self._tracer()
-        a.record_value("rx.ipq", 5.0)
-        b.record_value("rx.ipq", 7.0)
-        b.record_value("rx.ipq", 3.0)
-        merged = a.stats("rx.ipq")
-        merged.merge(b.stats("rx.ipq"))    # a SpanStats
-        assert merged.count == 3
-        assert merged.mean_us == pytest.approx(5.0)
-        assert (merged.min_us, merged.max_us) == (3.0, 7.0)
-
-    def test_benchmark_keeps_warmup_snapshot(self):
-        result = run_round_trip(size=80, iterations=2, warmup=2)
-        assert result.warmup_client_spans
-        assert result.warmup_client_spans["tx.user"]["count"] >= 2
-        json.dumps(result.warmup_client_spans)  # JSON-safe (no inf)
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +363,7 @@ class TestObserverMultiRun:
         run_round_trip(size=200, iterations=2, warmup=1, observer=obs)
         busy = obs.metrics.value("client.cpu.busy_us")
         snap = obs.metrics.snapshot()
-        obs.collect(obs.testbeds[-1])
+        obs.collect()
         assert obs.metrics.value("client.cpu.busy_us") == busy
         assert obs.metrics.snapshot()["gauges"] == snap["gauges"]
 
@@ -417,13 +372,29 @@ class TestObserverMultiRun:
         run_round_trip(size=200, iterations=2, warmup=1, observer=obs)
         counts = [obs.spans["client"]["tx.user"]["count"]]
         spans = json.dumps(obs.spans, sort_keys=True)
-        obs.collect(obs.testbeds[-1])
+        obs.collect()
         counts.append(obs.spans["client"]["tx.user"]["count"])
         obs.collect()
         counts.append(obs.spans["client"]["tx.user"]["count"])
         # Two measured iterations plus the warmup one, every time.
         assert counts == [3, 3, 3]
         assert json.dumps(obs.spans, sort_keys=True) == spans
+
+    def test_span_counts_equal_streamed_span_events(self):
+        # The per-host aggregate and the trace come from one stream:
+        # every span event counted once, warmup and both runs included.
+        obs = Observer()
+        run_round_trip(size=1400, iterations=3, warmup=2, observer=obs)
+        run_round_trip(size=200, iterations=2, warmup=1, observer=obs)
+        assert set(obs.spans) == {"client", "server"}
+        for host, spans in obs.spans.items():
+            pid = obs.pid_for_host(host)
+            streamed = Counter(e["name"] for e in obs.trace_events
+                               if e.get("cat") == "span"
+                               and e["pid"] == pid)
+            assert streamed
+            assert {name: s["count"] for name, s in spans.items()} == \
+                dict(streamed)
 
 
 # ----------------------------------------------------------------------

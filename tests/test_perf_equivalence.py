@@ -23,9 +23,9 @@ import os
 import pytest
 
 from repro.analysis.racecheck import digest_round_trip
-from repro.core.experiment import RoundTripBenchmark
+from repro.core.experiment import RoundTripBenchmark, run_round_trip
 from repro.core.packetlog import attach_packet_log
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import build_pair
 from repro.kern.config import KernelConfig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "perf_golden")
@@ -49,7 +49,18 @@ def test_hooked_run_matches_seed_golden(case):
     assert digest.invariant_violations == []
     assert digest.lines == doc["lines"]
     assert digest.samples == doc["samples"]
-    assert digest.counters == doc["counters"]
+    spans = {name: total for name, total in digest.counters.items()
+             if ".span." in name}
+    assert {name: value for name, value in digest.counters.items()
+            if name not in spans} == doc["counters"]
+    # The fixtures predate the digest's span totals: the hooked run's
+    # must equal the unhooked run's, name for name and bit for bit.
+    plain = run_round_trip(config=config, **doc["kwargs"])
+    assert spans == {
+        f"{host}.span.{name}": total
+        for host, totals in (("client", plain.client_spans),
+                             ("server", plain.server_spans))
+        for name, total in totals.items()}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -57,9 +68,7 @@ def test_fast_path_run_matches_seed_golden(case):
     """Hooks-off fast path: same runs without any SimHooks installed."""
     doc, config = load(case)
     kwargs = doc["kwargs"]
-    builder = {"atm": build_atm_pair,
-               "ethernet": build_ethernet_pair}[kwargs["network"]]
-    testbed = builder(config=config)
+    testbed = build_pair(kwargs["network"], config=config)
     assert testbed.sim.hooks is None  # the point of this variant
     log = attach_packet_log(testbed)
     result = RoundTripBenchmark(testbed, kwargs["size"],
