@@ -8,9 +8,8 @@ checking" section):
   and ``# repro: allow(<rule>)`` suppression pragmas (``repro lint``).
 * :mod:`repro.analysis.racecheck` / :mod:`repro.analysis.invariants` —
   a dynamic race detector that perturbs the event queue's
-  same-timestamp tie-break and diffs observable results, plus cheap
-  runtime invariants surfaced through :class:`repro.obs.hooks.SimHooks`
-  (``repro racecheck``).
+  same-timestamp tie-break and diffs observable results, plus the
+  conservation audits run after each checked run (``repro racecheck``).
 * :mod:`repro.analysis.ownership` / :mod:`repro.analysis.statemachine`
   — the mbuf ownership dataflow analyzer and the TCP state-machine
   exhaustiveness checker behind ``repro sanitize`` (their runtime
@@ -19,7 +18,6 @@ checking" section):
 
 from repro.analysis.findings import Finding, Severity, parse_pragmas
 from repro.analysis.invariants import (
-    InvariantHooks,
     check_ipq_conservation,
     check_mbuf_conservation,
     check_timer_sanity,
@@ -50,7 +48,7 @@ from repro.analysis.rules import RULES, LintContext
 
 __all__ = [
     "Finding", "Severity", "parse_pragmas",
-    "InvariantHooks", "check_ipq_conservation",
+    "check_ipq_conservation",
     "check_mbuf_conservation", "check_timer_sanity",
     "Linter", "lint_paths", "rule_catalog", "RULES", "LintContext",
     "OWNERSHIP_RULES", "OwnershipAnalyzer", "analyze_paths",

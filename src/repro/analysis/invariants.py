@@ -1,56 +1,22 @@
-"""Cheap always-on runtime invariants for simulation runs.
+"""Conservation audits for simulation runs.
 
-The engine already *raises* on the two hard kernel invariants (time
-monotonicity, no scheduling into the past).  :class:`InvariantHooks`
-re-checks them through the public :class:`~repro.obs.hooks.SimHooks`
-interface and *records* violations instead of raising, so a race-check
-run can report every broken invariant alongside its ordering diffs —
-and so the checks keep working even if a future engine optimization
-drops the inline raises.  :func:`check_ipq_conservation` adds the
-queueing invariant the paper's IPQ span depends on: every datagram
-placed on the IP input queue is eventually dispatched, dropped on
-overflow, or still queued — none are duplicated or lost.
+The engine itself raises :class:`~repro.sim.errors.SchedulingError` on
+the two hard kernel invariants, a negative delay and a queue that goes
+backwards in time.  The audits here read the stack's own counters once
+a run is over, so an audited run executes exactly the events of an
+unaudited one; each returns violation strings, empty when sound.
+:func:`check_ipq_conservation` is the queueing invariant the paper's
+IPQ span depends on: every datagram placed on the IP input queue is
+eventually dispatched, dropped on overflow, or still queued — none are
+duplicated or lost.
 """
 
 from __future__ import annotations
 
 from typing import Any, List
 
-from repro.obs.hooks import SimHooks
-
-__all__ = ["InvariantHooks", "check_ipq_conservation",
-           "check_mbuf_conservation", "check_rexmt_backoff_bounded",
-           "check_timer_sanity"]
-
-
-class InvariantHooks(SimHooks):
-    """SimHooks sink that accumulates invariant violations as text."""
-
-    def __init__(self) -> None:
-        self.violations: List[str] = []
-        self._last_dispatch_ns = 0
-        self.dispatches = 0
-        self.schedules = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    # ------------------------------------------------------------------
-    def on_schedule(self, now_ns: int, call: Any) -> None:
-        self.schedules += 1
-        if call.time < now_ns:
-            self.violations.append(
-                f"schedule-into-past: callback at t={call.time}ns "
-                f"scheduled while now={now_ns}ns")
-
-    def on_dispatch(self, now_ns: int, call: Any) -> None:
-        self.dispatches += 1
-        if now_ns < self._last_dispatch_ns:
-            self.violations.append(
-                f"time-went-backwards: dispatch at t={now_ns}ns after "
-                f"t={self._last_dispatch_ns}ns")
-        self._last_dispatch_ns = now_ns
+__all__ = ["check_ipq_conservation", "check_mbuf_conservation",
+           "check_rexmt_backoff_bounded", "check_timer_sanity"]
 
 
 def check_ipq_conservation(host: Any) -> List[str]:

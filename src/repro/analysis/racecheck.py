@@ -17,8 +17,11 @@ surface of each run against the FIFO baseline:
 Any difference means some handler pair racing at the same timestamp
 reaches shared state in an order-dependent way — exactly the class of
 bug that becomes unfindable once the ROADMAP pushes toward sharded or
-parallel execution.  Runs also carry the always-on invariant hooks
-(:mod:`repro.analysis.invariants`).
+parallel execution.  Each run is also checked by the engine's own
+:class:`~repro.sim.errors.SchedulingError` raises and audited for IPQ
+conservation afterwards (:mod:`repro.analysis.invariants`).  Nothing
+is installed on the run, so it takes the same path as the unobserved
+tables, inline CPU charges included.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.invariants import InvariantHooks, check_ipq_conservation
+from repro.analysis.invariants import check_ipq_conservation
 from repro.core.experiment import RoundTripBenchmark
 from repro.core.packetlog import attach_packet_log
 from repro.core.testbed import build_pair
@@ -169,10 +172,8 @@ def digest_round_trip(network: str = "atm",
                       tiebreak: Optional[str] = None) -> RunDigest:
     """Run one echo benchmark under *tiebreak* and digest everything
     observable: packet log, RTT samples, conservation counters, span
-    totals, invariant checks."""
-    hooks = InvariantHooks()
+    totals, the IPQ conservation audit."""
     testbed = build_pair(network, config=config, tiebreak=tiebreak)
-    testbed.sim.set_hooks(hooks)
     log = attach_packet_log(testbed)
     bench = RoundTripBenchmark(testbed, size, iterations=iterations,
                                warmup=warmup)
@@ -193,7 +194,7 @@ def digest_round_trip(network: str = "atm",
         for name in host.tracer.names():
             counters[f"{prefix}.span.{name}"] = host.tracer.total_us(name)
 
-    violations = list(hooks.violations)
+    violations: List[str] = []
     for host in testbed.hosts:
         violations.extend(check_ipq_conservation(host))
 

@@ -15,8 +15,8 @@ tree, parent links, logical module name, import alias map) and yields
   the zero-overhead ``is not None`` guard pattern from :mod:`repro.obs`.
 * **Layering** — the import DAG (e.g. ``repro.tcp`` must not import
   ``repro.atm``/``repro.ethernet``; ``repro.sim`` imports nothing but
-  itself and ``repro.obs.hooks``) and the rule that magic cycle/cost
-  constants live only in ``repro.hw.costs``.
+  itself) and the rule that magic cycle/cost constants live only in
+  ``repro.hw.costs``.
 
 Scope: a rule declares a *zone* — ``"all"`` (every linted file) or
 ``"det"`` (the deterministic heart of the simulator:
@@ -404,7 +404,7 @@ def check_unguarded_hook(ctx: LintContext) -> Iterator[Finding]:
 #: prefixes (anything else in repro.* is a violation); 'forbidden'
 #: blacklists prefixes.  Packages absent here are unconstrained.
 LAYERING: Dict[str, Dict[str, Set[str]]] = {
-    "sim": {"allowed": {"repro.sim", "repro.obs.hooks"}},
+    "sim": {"allowed": {"repro.sim"}},
     "hw": {"allowed": {"repro.hw", "repro.sim"}},
     "mem": {"allowed": {"repro.mem", "repro.sim", "repro.hw",
                         "repro.perf.native"}},
@@ -449,8 +449,8 @@ def _prefix_match(module: str, prefixes: Set[str]) -> bool:
 @rule("layering", Severity.ERROR, "all",
       "Import crosses the architecture's layer boundaries (e.g. "
       "repro.tcp importing repro.atm, repro.sim importing anything "
-      "beyond itself and repro.obs.hooks, or anything outside "
-      "repro.perf.native importing repro._native directly).")
+      "beyond itself, or anything outside repro.perf.native importing "
+      "repro._native directly).")
 def check_layering(ctx: LintContext) -> Iterator[Finding]:
     policy = LAYERING.get(ctx.package or "")
     guard_native = not _prefix_match(ctx.module or "", _NATIVE_IMPORTERS)

@@ -307,11 +307,8 @@ class ForeTca100:
         # paper's error source (2), which only the TCP checksum can see.
         injector = self.link.fault_injector if self.link else None
         if injector is not None:
-            new_pdu, tag = injector.apply_controller(packet.data)
+            packet.data, tag = injector.apply_controller(packet.data)
             if tag is not None:
-                packet = Packet(new_pdu)
-                packet.lineage = seg_rec
-                packet.last_cell_arrival_ns = arrived_at
                 packet.corrupted_by = tag
 
         if integrated:

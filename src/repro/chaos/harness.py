@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.invariants import (
-    InvariantHooks,
     check_ipq_conservation,
     check_mbuf_conservation,
     check_rexmt_backoff_bounded,
@@ -120,12 +119,10 @@ def run_chaos_cell(size: int = 1400, loss: float = 0.0,
     if impairment_config is None:
         impairment_config = ImpairmentConfig(seed=seed, p_drop=loss)
     impairments = Impairments(impairment_config)
-    hooks = InvariantHooks()
     testbed = build_pair(network, config=kconfig, tiebreak=tiebreak,
                          impairments=impairments)
     effective_mss = (kconfig.mss_atm if network == "atm"
                      else kconfig.mss_ethernet)
-    testbed.sim.set_hooks(hooks)
     log = attach_packet_log(testbed)
 
     result = ChaosCellResult(
@@ -168,7 +165,6 @@ def run_chaos_cell(size: int = 1400, loss: float = 0.0,
     if result.completed < iterations and not result.violations:
         result.violations.append(
             f"incomplete: {result.completed}/{iterations} iterations")
-    result.violations.extend(hooks.violations)
     for host in testbed.hosts:
         result.violations.extend(check_ipq_conservation(host))
         # With REPRO_SANITIZE=1 / KernelConfig.sanitize the mbuf check

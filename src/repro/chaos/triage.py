@@ -6,10 +6,10 @@ mutation legitimately corrupts streams and resets connections, the
 cell's oracle is *not* "the transfer succeeded"; it is the set of
 properties that must hold under arbitrary hostile input:
 
-* no unhandled exception escapes the stack (crash oracle);
-* the simulator invariant hooks and the post-quiesce conservation
-  audits (mbuf, IPQ, rexmt backoff, timer sanity — the sanitizer's
-  runtime half) stay green;
+* no unhandled exception escapes the stack (crash oracle; the
+  engine's own ``SchedulingError`` raises land here);
+* the post-quiesce conservation audits (mbuf, IPQ, rexmt backoff,
+  timer sanity — the sanitizer's runtime half) stay green;
 * protocol conformance: no connection negotiates an absurd MSS
   (``t_maxseg`` below :data:`MIN_SANE_MSS`), and no reassembly queue
   holds bytes outside the receive window.
@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.invariants import (
-    InvariantHooks,
     check_ipq_conservation,
     check_mbuf_conservation,
     check_rexmt_backoff_bounded,
@@ -157,10 +156,8 @@ def _collect_counters(testbed, fuzzer: PacketFuzzer) -> Dict[str, int]:
     return counters
 
 
-def _audit(testbed, hooks: InvariantHooks, config: KernelConfig,
-           result: FuzzCellResult) -> None:
+def _audit(testbed, config: KernelConfig, result: FuzzCellResult) -> None:
     """The oracle proper: invariants + conformance, never liveness."""
-    result.violations.extend(hooks.violations)
     for host in testbed.hosts:
         result.violations.extend(check_ipq_conservation(host))
         result.violations.extend(check_mbuf_conservation(host))
@@ -208,10 +205,8 @@ def run_fuzz_cell(size: int = 1400, seed: int = 1994,
         fuzzer = PacketFuzzer.replay(schedule)
     else:
         fuzzer = PacketFuzzer(FuzzConfig(seed=seed, p_mutate=p_mutate))
-    hooks = InvariantHooks()
     testbed = build_pair(network, config=kconfig, tiebreak=tiebreak,
                          impairments=fuzzer)
-    testbed.sim.set_hooks(hooks)
 
     result = FuzzCellResult(network=network, size=size, seed=seed,
                             iterations=iterations, p_mutate=p_mutate)
@@ -250,7 +245,7 @@ def run_fuzz_cell(size: int = 1400, seed: int = 1994,
             sock.so_snd.flush()
             sock.so_rcv.flush()
 
-    _audit(testbed, hooks, kconfig, result)
+    _audit(testbed, kconfig, result)
     if expect_complete:
         if result.completed < iterations or result.echo_errors:
             result.violations.append(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Tuple, Union
 
-from repro.checksum.internet import fold, raw_sum
+from repro.checksum.internet import raw_sum
 from repro.hw.costs import LinearCost, MachineCosts
 
 __all__ = [
@@ -106,10 +106,6 @@ class IntegratedCopyChecksum(_CostedOp):
         # loop's one pass over the data.
         copied = bytes(data)
         return copied, raw_sum(copied), self.cost_ns(len(copied))
-
-    def checksum16(self, data: Buffer) -> int:
-        """Convenience: the folded one's-complement checksum of *data*."""
-        return ~fold(raw_sum(data)) & 0xFFFF
 
 
 def separate_copy_and_checksum_ns(machine: MachineCosts, nbytes: int,

@@ -166,8 +166,8 @@ def run_round_trip(size: int, network: str = "atm",
     Pass *observer* (a :class:`repro.obs.Observer`) to capture the
     run's full observability stream — CPU-context timeline, metrics,
     spans, packets; final host state is folded in via
-    ``observer.collect`` before returning.  Timing results are
-    unaffected: hooks never mutate simulator state.  *tiebreak*
+    ``observer.collect`` before returning.  The observed run executes
+    exactly the events of the unobserved one.  *tiebreak*
     perturbs same-timestamp event ordering for race detection
     (:mod:`repro.analysis.racecheck`); leave it None for the
     seed-identical FIFO order.  *impairments* (a

@@ -58,7 +58,7 @@ def build_atm_pair(config: Optional[KernelConfig] = None,
     """Two workstations with FORE TCA-100s on a private fiber.
 
     With *observer* (a :class:`repro.obs.Observer`), the full
-    observability pipeline — kernel hooks, metrics, span/packet sinks —
+    observability pipeline — CPU hooks, metrics, span/packet sinks —
     is wired in before anything runs; without it the testbed is
     unobserved and byte-identical to the seed.  *tiebreak* perturbs the
     simulator's same-timestamp event ordering (race detection only; see

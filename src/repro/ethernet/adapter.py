@@ -234,4 +234,12 @@ class LanceEthernet:
         packet.last_cell_arrival_ns = arrived_at
         if wire_fault is not None:
             packet.corrupted_by = wire_fault.source
+        # Controller-stage errors: introduced while copying the frame
+        # into mbufs, *after* the FCS check — the paper's error source
+        # (2), which only the TCP checksum can see.
+        injector = self.link.fault_injector
+        if injector is not None:
+            packet.data, tag = injector.apply_controller(packet.data)
+            if tag is not None:
+                packet.corrupted_by = tag
         host.softnet.schednetisr(packet)

@@ -96,9 +96,3 @@ class ProcessScheduler:
         if job is not None:
             yield job
         signal.fire(self.sim.now)
-
-    def wakeup_nowait(self, chan: Hashable) -> None:
-        """Fire a channel without charging CPU time (test helper)."""
-        signal = self._channels.get(chan)
-        if signal is not None:
-            signal.fire(self.sim.now)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import struct
-
 __all__ = ["ip_aton", "ip_ntoa", "HostAddress"]
 
 
@@ -26,11 +24,6 @@ def ip_ntoa(value: int) -> str:
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"bad IPv4 integer: {value}")
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def ip_bytes(value: int) -> bytes:
-    """32-bit integer -> 4 network-order bytes."""
-    return struct.pack(">I", value)
 
 
 class HostAddress:

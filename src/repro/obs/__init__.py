@@ -3,8 +3,8 @@
 One pipeline behind all instrumentation, mirroring the paper's method
 of reading a 40 ns clock at layer boundaries — but exportable:
 
-* :mod:`repro.obs.hooks` — the :class:`SimHooks` protocol the event
-  kernel and CPU model fire (``NoopHooks``/``None`` = zero overhead);
+* :mod:`repro.obs.hooks` — the :class:`SimHooks` protocol the CPU
+  model fires from ``CPU.hooks`` (``None`` = zero overhead);
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms;
 * :mod:`repro.obs.observer` — the :class:`Observer` that attaches to a
@@ -30,12 +30,12 @@ Quick use::
     run_round_trip(size=8000, observer=obs)
     write_chrome_trace(obs, "t2.json")   # open in ui.perfetto.dev
 
-Import note: :mod:`repro.sim.engine` imports :mod:`repro.obs.hooks`,
-so this ``__init__`` must only import modules with no dependency on
-the simulation kernel (hooks, metrics); the rest load lazily.
+Import note: this ``__init__`` imports only the modules with no
+dependency on the simulation kernel (hooks, metrics), so importing
+:mod:`repro.obs` stays cheap; the rest load lazily.
 """
 
-from repro.obs.hooks import NoopHooks, SimHooks
+from repro.obs.hooks import SimHooks
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -45,7 +45,7 @@ from repro.obs.metrics import (
 )
 
 __all__ = [
-    "SimHooks", "NoopHooks",
+    "SimHooks",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "ScopedMetrics",
     "Observer", "CpuTraceHooks",
     "chrome_trace", "write_chrome_trace", "trace_jsonl", "write_jsonl",

@@ -1,64 +1,40 @@
-"""Kernel hook interface: the root of the observability pipeline.
+"""CPU job hook interface: the root of the observability pipeline.
 
-The simulation kernel (:mod:`repro.sim.engine`) and the CPU model
-(:mod:`repro.sim.cpu`) expose their lifecycle through a single
-:class:`SimHooks` object installed on the :class:`~repro.sim.engine.
-Simulator`.  Downstream sinks — the :class:`~repro.obs.observer.
-Observer` that builds Chrome traces, counters, test probes — subclass
-:class:`SimHooks` and override only the callbacks they care about.
+The CPU model (:mod:`repro.sim.cpu`) reports each job's lifecycle to
+the :class:`SimHooks` object on :attr:`CPU.hooks <repro.sim.cpu.CPU.
+hooks>`.  Downstream sinks — the :class:`~repro.obs.observer.Observer`
+that builds Chrome traces, test probes — subclass :class:`SimHooks`
+and override only the callbacks they care about.
 
-The default is *no hooks at all*: ``Simulator.hooks`` is ``None`` and
-the kernel's hot loops guard every callback with a single ``is not
-None`` test, so an uninstrumented run pays nothing and reproduces the
-seed's event stream byte for byte.  :class:`NoopHooks` exists for call
-sites that want an object to hand around; ``Simulator.set_hooks``
-normalizes it back to ``None`` so even a "noop-hooked" run stays on the
-zero-overhead path.
+The default is *no hooks at all*: ``CPU.hooks`` is ``None`` and each
+hook site is a single ``is not None`` test.  The event kernel has no
+hook point, so installing hooks never changes which events a run
+executes: an observed run and the same unobserved run take the same
+path, inline CPU charges included.
 
-This module is dependency-free on purpose: the simulation kernel may
-import it without creating an import cycle with the rest of
-:mod:`repro.obs`.
+This module is dependency-free on purpose, so :mod:`repro.obs` can
+import it without loading the simulation kernel.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["SimHooks", "NoopHooks"]
+__all__ = ["SimHooks"]
 
 
 class SimHooks:
-    """Callbacks fired by the event kernel and the CPU model.
+    """Callbacks fired by the CPU model.
 
     All methods are no-ops in the base class; subclasses override a
     subset.  Hooks observe — they must not mutate simulator state, or
     determinism guarantees are void.
 
-    Engine callbacks receive the :class:`~repro.sim.engine.
-    ScheduledCall` / :class:`~repro.sim.engine.Process` involved; CPU
-    callbacks receive the :class:`~repro.sim.cpu.CPU` and
+    Each callback receives the :class:`~repro.sim.cpu.CPU` and the
     :class:`~repro.sim.cpu.Job`, so a sink can read names, priorities
-    and queue depths without the kernel paying to format them.
+    and queue depths without the CPU paying to format them.
     """
 
-    # ------------------------------------------------------------------
-    # Event-kernel lifecycle (repro.sim.engine)
-    # ------------------------------------------------------------------
-    def on_schedule(self, now_ns: int, call: Any) -> None:
-        """A callback was pushed on the event queue."""
-
-    def on_dispatch(self, now_ns: int, call: Any) -> None:
-        """A callback is about to execute (clock already advanced)."""
-
-    def on_process_start(self, now_ns: int, process: Any) -> None:
-        """A generator process was created."""
-
-    def on_process_end(self, now_ns: int, process: Any) -> None:
-        """A generator process finished (returned or raised)."""
-
-    # ------------------------------------------------------------------
-    # CPU-model lifecycle (repro.sim.cpu)
-    # ------------------------------------------------------------------
     def on_job_start(self, now_ns: int, cpu: Any, job: Any) -> None:
         """A job got the CPU for the first time."""
 
@@ -70,13 +46,3 @@ class SimHooks:
 
     def on_job_finish(self, now_ns: int, cpu: Any, job: Any) -> None:
         """The running job consumed all of its work."""
-
-
-class NoopHooks(SimHooks):
-    """Explicit do-nothing hooks.
-
-    Installing this (or ``None``) leaves the kernel on its unhooked
-    fast path; it exists so APIs can take "a hooks object" uniformly.
-    """
-
-    __slots__ = ()

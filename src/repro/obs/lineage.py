@@ -289,12 +289,6 @@ class LineageRecorder:
     def measured_deliveries(self) -> List[DeliveryLineage]:
         return self.deliveries[self._mark[3]:]
 
-    def segment_by_id(self, segment_id: int) -> Optional[SegmentLineage]:
-        for s in self.segments:
-            if s.segment_id == segment_id:
-                return s
-        return None
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------

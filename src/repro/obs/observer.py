@@ -3,8 +3,8 @@
 An :class:`Observer` is the single object a run attaches to a testbed
 to see everything the paper's measurement methodology sees — and more:
 
-* it installs :class:`~repro.obs.hooks.SimHooks` on the simulator, so
-  CPU context activity (hardware interrupts preempting softints
+* it installs :class:`~repro.obs.hooks.SimHooks` on each host's CPU,
+  so CPU context activity (hardware interrupts preempting softints
   preempting processes) becomes timeline slices;
 * it owns the run's :class:`~repro.obs.metrics.MetricsRegistry` and
   hands each host a scoped view (``client.*`` / ``server.*``);
@@ -23,8 +23,9 @@ Chrome ``trace_event`` file, a JSONL event stream, or a plain-text
 metrics dump.
 
 Everything here is opt-in: constructing a testbed without an observer
-leaves ``Simulator.hooks`` and every ``metrics`` attribute ``None``,
-and the simulated timeline is byte-identical to the seed.
+leaves ``CPU.hooks`` and every ``metrics`` attribute ``None``.  With
+one, the run executes the same events as without it: observing a run
+does not change it.
 """
 
 from __future__ import annotations
@@ -102,13 +103,12 @@ class CpuTraceHooks(SimHooks):
     """SimHooks implementation feeding an :class:`Observer`.
 
     CPU job lifecycle becomes complete ("X") slices on the per-context
-    thread of the owning host; engine lifecycle becomes counters (events
-    executed and preemptions are the stack's own, published by
-    :meth:`Observer.collect`).  A job's slice is opened at start/resume
-    and closed at preempt/finish, so a preempted copy shows up as two
-    slices with the interrupt's slice between them — the paper's
-    "interrupt steals cycles from a user process mid-copy" picture,
-    literally visible in Perfetto.
+    thread of the owning host (events executed and preemptions are the
+    stack's own counts, published by :meth:`Observer.collect`).  A job's
+    slice is opened at start/resume and closed at preempt/finish, so a
+    preempted copy shows up as two slices with the interrupt's slice
+    between them — the paper's "interrupt steals cycles from a user
+    process mid-copy" picture, literally visible in Perfetto.
     """
 
     def __init__(self, observer: "Observer"):
@@ -116,17 +116,6 @@ class CpuTraceHooks(SimHooks):
         #: (cpu name, priority) -> (job name, slice start ns)
         self._open: Dict[Tuple[str, int], Tuple[str, int]] = {}
 
-    # --- engine -------------------------------------------------------
-    def on_schedule(self, now_ns: int, call: Any) -> None:
-        self.observer.metrics.inc("sim.scheduled")
-
-    def on_process_start(self, now_ns: int, process: Any) -> None:
-        self.observer.metrics.inc("sim.processes_started")
-
-    def on_process_end(self, now_ns: int, process: Any) -> None:
-        self.observer.metrics.inc("sim.processes_finished")
-
-    # --- CPU ----------------------------------------------------------
     def on_job_start(self, now_ns: int, cpu: Any, job: Any) -> None:
         self._open[(cpu.name, job.priority)] = (job.name, now_ns)
         self.observer.metrics.set_max(f"{cpu.name}.runq_max",
@@ -190,7 +179,6 @@ class Observer:
     # ------------------------------------------------------------------
     def attach(self, testbed) -> "Observer":
         """Wire this observer into a testbed (before running it)."""
-        testbed.sim.set_hooks(self.hooks)
         testbed.observer = self
         for host in testbed.hosts:
             self.attach_host(host)
@@ -201,12 +189,13 @@ class Observer:
         return self
 
     def attach_host(self, host) -> None:
-        """Give one host a metrics scope and a span sink."""
+        """Give one host CPU hooks, a metrics scope and a span sink."""
         pid = self._pids.get(host.name)
         if pid is None:
             pid = self._pids[host.name] = len(self._pids) + 1
             self._emit_metadata(pid, host.name)
         self._pid_by_cpu[host.cpu.name] = pid
+        host.cpu.hooks = self.hooks
         host.observer = self
         scoped = self.metrics.scope(host.name)
         host.metrics = scoped

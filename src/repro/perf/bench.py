@@ -27,8 +27,8 @@ __all__ = ["RUNS", "counters", "collect"]
 def _round_trips(build: Callable[..., Testbed], size: int,
                  iterations: int = 8,
                  p_drop: float = 0.0) -> Callable[[], Testbed]:
-    """The echo benchmark with 8 measured iterations after 2 warmup and
-    no hooks installed, so the run takes the unobserved fast path."""
+    """The echo benchmark, unobserved: *iterations* measured round trips
+    after 2 warmup."""
     def run() -> Testbed:
         impairments = (Impairments(ImpairmentConfig(seed=1994,
                                                     p_drop=p_drop))

@@ -36,13 +36,21 @@ spot and returns ``None``: no :class:`Job`, no event, and the
 submitter carries on without suspending its generator chain.
 Otherwise it returns the job to yield.  A plain ``yield cpu.run(...)``
 keeps the one-event path.
+
+Observability enters here and nowhere in the event kernel:
+:attr:`CPU.hooks` (a :class:`repro.obs.hooks.SimHooks`, ``None`` by
+default) hears each job start, preemption, resumption and finish.  An
+inline charge builds a :class:`Job` only when hooks are installed, and
+reports its start and finish with the times and order the completion
+dispatch would have used, so installed hooks never change which path
+a charge takes or how many events a run executes.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.sim.engine import Event, ScheduledCall, Simulator
 
@@ -98,6 +106,9 @@ class CPU:
         self._completion: Optional[ScheduledCall] = None
         self._run_started_at = 0
         self._seq = itertools.count()
+        #: Job lifecycle hooks (a repro.obs.hooks.SimHooks) or None;
+        #: Observer.attach_host installs them.
+        self.hooks: Optional[Any] = None
         # Accounting (diagnostics and utilization tests).
         self.busy_ns = 0
         self.preemptions = 0
@@ -127,8 +138,9 @@ class CPU:
         ``None`` means the work is already done: the job would have
         started at once and :meth:`Simulator.advance` found nothing the
         loop could run before it ended, so the clock stands at its end,
-        a preempted job has resumed, and the accounting is exactly what
-        the completion's dispatch would have left.
+        a preempted job has resumed, and the accounting and the
+        :attr:`hooks` calls are exactly what the completion's dispatch
+        would have left.
         """
         if duration_ns < 0:
             raise ValueError(f"negative CPU work: {duration_ns}")
@@ -147,6 +159,13 @@ class CPU:
         if wait and sim.advance(sim.now + duration_ns):
             self._account(name, duration_ns)
             self.jobs_completed += 1
+            hooks = self.hooks
+            if hooks is not None:
+                # A job for the hooks alone: _start's and _complete's
+                # calls, at their times, before the next job starts.
+                job = Job(sim, priority, next(self._seq), duration_ns, name)
+                hooks.on_job_start(sim.now - duration_ns, self, job)
+                hooks.on_job_finish(sim.now, self, job)
             if self._ready:
                 self._start(heapq.heappop(self._ready)[2])
             return None
@@ -183,11 +202,12 @@ class CPU:
         now = sim.now
         self._running = job
         self._run_started_at = now
-        if sim.hooks is not None:
+        hooks = self.hooks
+        if hooks is not None:
             if job.started:
-                sim.hooks.on_job_resume(now, self, job)
+                hooks.on_job_resume(now, self, job)
             else:
-                sim.hooks.on_job_start(now, self, job)
+                hooks.on_job_start(now, self, job)
         job.started = True
         self._completion = sim.schedule(job.remaining, self._complete, job)
 
@@ -208,8 +228,8 @@ class CPU:
         self._running = None
         self.preemptions += 1
         heapq.heappush(self._ready, (job.priority, job.seq, job))
-        if self.sim.hooks is not None:
-            self.sim.hooks.on_job_preempt(self.sim.now, self, job)
+        if self.hooks is not None:
+            self.hooks.on_job_preempt(self.sim.now, self, job)
 
     def _complete(self, job: Job) -> None:
         assert job is self._running
@@ -217,8 +237,8 @@ class CPU:
         self._running = None
         self._completion = None
         self.jobs_completed += 1
-        if self.sim.hooks is not None:
-            self.sim.hooks.on_job_finish(self.sim.now, self, job)
+        if self.hooks is not None:
+            self.hooks.on_job_finish(self.sim.now, self, job)
         # Next job first, then the waiters: see the module docstring.
         if self._ready:
             self._start(heapq.heappop(self._ready)[2])

@@ -10,10 +10,10 @@ The kernel is deliberately small and deterministic:
   (in the style of simpy): a process ``yield``\\ s an :class:`Event` (or a
   plain integer, treated as a timeout in nanoseconds) and is resumed with
   the event's value when it triggers.
-* Observability hooks (:class:`repro.obs.hooks.SimHooks`) may be
-  installed via :meth:`Simulator.set_hooks`; the default is ``None``
-  and every hook site is a single ``is not None`` test, so an
-  unobserved run pays nothing and stays byte-identical to the seed.
+* The kernel has no observer hook: scheduling and dispatch test
+  nothing for observability, so an observed run executes exactly the
+  events of the same unobserved run.  CPU work is observed through
+  the CPU model's job hooks (:attr:`repro.sim.cpu.CPU.hooks`).
 
 Performance notes.  The engine is pure Python on every build; the
 optional compiled extension twins only the checksum and the mbuf
@@ -25,9 +25,7 @@ chain helpers.
 * One dispatch loop, :meth:`Simulator._run`, serves :meth:`step`,
   :meth:`run` with and without a deadline, and
   :meth:`run_until_triggered`; they differ only in its two stop tests
-  (a deadline and an event).  The hooks test is inline, one
-  ``is not None`` per dispatch, so hooks installed mid-run are seen
-  from the next event on.
+  (a deadline and an event).
 * :meth:`Simulator.advance` moves the clock to a time the caller is
   about to wait for when the loop would run nothing before it, so the
   caller does the work itself and no event is built.  The CPU model
@@ -288,8 +286,6 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
         sim.schedule(0, self._resume, None)
-        if sim.hooks is not None:
-            sim.hooks.on_process_start(sim.now, self)
 
     @property
     def alive(self) -> bool:
@@ -312,11 +308,9 @@ class Process(Event):
                 target = self._gen.throw(event._exc)
         except StopIteration as stop:
             self.succeed(stop.value)
-            self._notify_end()
             return
         except BaseException as error:  # noqa: BLE001 - propagate via event
             self.fail(error)
-            self._notify_end()
             return
         if isinstance(target, Event):
             callbacks = target._callbacks
@@ -335,11 +329,6 @@ class Process(Event):
                 f"process {self.name!r} yielded non-waitable "
                 f"{type(target).__name__}: {target!r}"
             ))
-            self._notify_end()
-
-    def _notify_end(self) -> None:
-        if self.sim.hooks is not None:
-            self.sim.hooks.on_process_end(self.sim.now, self)
 
 
 class _StopToken:
@@ -362,8 +351,7 @@ _NEVER = _StopToken(Event._PENDING)
 class Simulator:
     """The event loop: a clock plus a heap of scheduled callbacks."""
 
-    def __init__(self, hooks: Optional[Any] = None,
-                 tiebreak: Optional[str] = None) -> None:
+    def __init__(self, tiebreak: Optional[str] = None) -> None:
         #: Current simulated time in nanoseconds.
         self.now = 0
         #: Heap of ``(time, key, ScheduledCall)``: comparisons stay on
@@ -375,32 +363,11 @@ class Simulator:
         self._stop: Any = _ONCE
         self._seq_next = 0
         self._events_executed = 0
-        #: Observability hooks (repro.obs.hooks.SimHooks) or None.
-        #: Read directly by the CPU model; install via set_hooks().
-        self.hooks: Optional[Any] = None
         #: Same-timestamp tie-break policy ('fifo' when None); see
         #: :func:`tiebreak_keyfn`.  Only the race detector passes a
         #: non-default value.
         self.tiebreak = tiebreak or "fifo"
         self._keyfn = tiebreak_keyfn(tiebreak)
-        if hooks is not None:
-            self.set_hooks(hooks)
-
-    def set_hooks(self, hooks: Optional[Any]) -> None:
-        """Install observability hooks (``None`` disables them).
-
-        A :class:`repro.obs.hooks.NoopHooks` instance is normalized to
-        ``None`` so the "explicitly unobserved" configuration keeps the
-        zero-overhead unhooked fast path.
-        """
-        from repro.obs.hooks import NoopHooks, SimHooks
-
-        if hooks is not None and not isinstance(hooks, SimHooks):
-            raise SchedulingError(
-                f"hooks must be a SimHooks, got {type(hooks).__name__}")
-        if isinstance(hooks, NoopHooks):
-            hooks = None
-        self.hooks = hooks
 
     @property
     def now_us(self) -> float:
@@ -428,8 +395,6 @@ class Simulator:
             time, seq if self._keyfn is None else self._keyfn(seq), call))
         if not (seq & _COMPACT_MASK):
             self._maybe_compact()
-        if self.hooks is not None:
-            self.hooks.on_schedule(self.now, call)
         return call
 
     def _maybe_compact(self) -> None:
@@ -499,8 +464,6 @@ class Simulator:
                         "event queue went backwards in time")
                 self.now = time
                 executed += 1
-                if self.hooks is not None:
-                    self.hooks.on_dispatch(time, call)
                 fn(*call.args)
                 if stop._value is not pending:
                     return True
@@ -520,8 +483,7 @@ class Simulator:
         (cancelled ones are dropped, as the loop would), *time* is within
         :meth:`run`'s deadline, the loop's stop event is still pending
         (so never in :meth:`step`, outside a loop, or in any but the last
-        waiter of a fanned-out event) and no hooks are installed (they
-        would miss the dispatch).  True consumes the event's sequence
+        waiter of a fanned-out event).  True consumes the event's sequence
         number, so later keys are unchanged; False leaves the clock and
         the sequence alone.  An advance does not count in
         :attr:`events_executed`.
@@ -535,8 +497,7 @@ class Simulator:
                 return False
             heappop(queue)
         until = self._until
-        if self.hooks is not None \
-                or self._stop._value is not Event._PENDING \
+        if self._stop._value is not Event._PENDING \
                 or (until is not None and time > until):
             return False
         self._seq_next = seq + 1

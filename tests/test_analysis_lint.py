@@ -95,11 +95,12 @@ def test_module_directive_enables_zone_rules():
     # Without the directive the same file is zone-less and clean.
     findings = Linter().lint_source("import repro.atm\n", "anywhere.py")
     assert findings == []
-    # The engine imports nothing beyond itself and repro.obs.hooks.
-    source = ("# repro: module(repro.sim.fake)\n"
-              "import repro.perf.native\n")
-    findings = Linter().lint_source(source, "anywhere.py")
-    assert [f.rule for f in findings] == ["layering"]
+    # The engine imports nothing beyond itself, not even repro.obs.
+    for imported in ("repro.perf.native", "repro.obs.hooks"):
+        source = ("# repro: module(repro.sim.fake)\n"
+                  f"import {imported}\n")
+        findings = Linter().lint_source(source, "anywhere.py")
+        assert [f.rule for f in findings] == ["layering"], imported
 
 
 # ----------------------------------------------------------------------

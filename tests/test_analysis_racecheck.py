@@ -1,4 +1,4 @@
-"""The simulation race detector and runtime invariants.
+"""The simulation race detector and its conservation audit.
 
 Two obligations: a deliberately ordering-sensitive program (two
 handlers at the same timestamp mutating shared state) must be flagged,
@@ -9,7 +9,6 @@ packet logs byte-identical under every tie-break perturbation.
 import pytest
 
 from repro.analysis import (
-    InvariantHooks,
     RunDigest,
     check_ipq_conservation,
     check_scenario,
@@ -168,41 +167,8 @@ def test_digest_is_reproducible_per_tiebreak():
 
 
 # ----------------------------------------------------------------------
-# Runtime invariants
+# Conservation audits
 # ----------------------------------------------------------------------
-class _FakeCall:
-    def __init__(self, time):
-        self.time = time
-
-
-def test_invariant_hooks_catch_schedule_into_past():
-    hooks = InvariantHooks()
-    hooks.on_schedule(100, _FakeCall(time=150))
-    assert hooks.ok
-    hooks.on_schedule(100, _FakeCall(time=50))
-    assert not hooks.ok
-    assert "schedule-into-past" in hooks.violations[0]
-
-
-def test_invariant_hooks_catch_time_reversal():
-    hooks = InvariantHooks()
-    hooks.on_dispatch(100, _FakeCall(time=100))
-    hooks.on_dispatch(90, _FakeCall(time=90))
-    assert not hooks.ok
-    assert "time-went-backwards" in hooks.violations[0]
-
-
-def test_invariant_hooks_observe_live_run():
-    hooks = InvariantHooks()
-    sim = Simulator(hooks=hooks)
-    for i in range(4):
-        sim.schedule(i * 10, lambda: None)
-    sim.run()
-    assert hooks.ok
-    assert hooks.dispatches == 4
-    assert hooks.schedules == 4
-
-
 def test_ipq_conservation_checks_counters():
     class FakeSoftnet:
         enqueued = 5

@@ -92,6 +92,16 @@ class TestErrorStudyLayering:
         assert r.caught_by_tcp_checksum > 0
         assert r.caught_by_application == 0
 
+    def test_ethernet_controller_errors_need_the_tcp_checksum(self):
+        """The controller stage sits after the FCS check on Ethernet
+        too: the frame's CRC cannot see it, only TCP's checksum can."""
+        r = run_error_study(size=500, iterations=25, p_controller=0.2,
+                            network="ethernet", seed=12)
+        assert r.injected_controller > 0
+        assert r.caught_by_link_check == 0
+        assert r.caught_by_tcp_checksum > 0
+        assert r.caught_by_application == 0
+
     def test_gateway_errors_need_the_tcp_checksum(self):
         r = run_error_study(size=500, iterations=25, p_gateway=0.2,
                             seed=13)

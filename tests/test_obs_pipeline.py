@@ -16,7 +16,6 @@ from repro.core.packetlog import PacketLog, attach_packet_log
 from repro.core.testbed import build_atm_pair
 from repro.obs import (
     MetricsRegistry,
-    NoopHooks,
     Observer,
     SimHooks,
     chrome_trace,
@@ -24,7 +23,6 @@ from repro.obs import (
     trace_jsonl,
     write_chrome_trace,
 )
-from repro.sim.engine import Simulator
 from repro.sim.trace import SpanStats
 
 
@@ -130,9 +128,6 @@ class _RecordingHooks(SimHooks):
     def __init__(self):
         self.log = []
 
-    def on_dispatch(self, now_ns, call):
-        self.log.append(("d", now_ns))
-
     def on_job_start(self, now_ns, cpu, job):
         self.log.append(("start", now_ns, cpu.name, job.name))
 
@@ -145,44 +140,28 @@ class _RecordingHooks(SimHooks):
     def on_job_finish(self, now_ns, cpu, job):
         self.log.append(("finish", now_ns, cpu.name, job.name))
 
-    def on_process_start(self, now_ns, process):
-        self.log.append(("p+", now_ns, process.name))
-
-    def on_process_end(self, now_ns, process):
-        self.log.append(("p-", now_ns, process.name))
-
 
 class TestHooks:
     def _hooked_run(self):
         from repro.core.experiment import RoundTripBenchmark
         tb = build_atm_pair()
         hooks = _RecordingHooks()
-        tb.sim.set_hooks(hooks)
+        for host in tb.hosts:
+            host.cpu.hooks = hooks
         RoundTripBenchmark(tb, size=200, iterations=3, warmup=1).run()
-        return hooks.log
+        return hooks.log, sum(host.cpu.jobs_completed for host in tb.hosts)
 
     def test_hooks_fire_in_deterministic_order(self):
-        first, second = self._hooked_run(), self._hooked_run()
+        (first, jobs), (second, _) = self._hooked_run(), self._hooked_run()
         assert first == second
         assert len(first) > 100
         kinds = {entry[0] for entry in first}
-        # Every lifecycle callback is exercised by a real run,
-        # including preemption (ATM interrupt vs user copy).
-        assert kinds == {"d", "start", "preempt", "resume", "finish",
-                        "p+", "p-"}
-
-    def test_noop_hooks_normalized_to_none(self):
-        sim = Simulator()
-        sim.set_hooks(NoopHooks())
-        assert sim.hooks is None
-        sim.set_hooks(_RecordingHooks())
-        assert sim.hooks is not None
-        sim.set_hooks(None)
-        assert sim.hooks is None
-
-    def test_non_hooks_object_rejected(self):
-        with pytest.raises(Exception):
-            Simulator().set_hooks(object())
+        # Every job callback is exercised by a real run, including
+        # preemption (ATM interrupt vs user copy).
+        assert kinds == {"start", "preempt", "resume", "finish"}
+        assert {entry[2] for entry in first} == {"client.cpu", "server.cpu"}
+        # Inline charges report too: one finish per completed job.
+        assert [entry[0] for entry in first].count("finish") == jobs
 
     def test_observed_run_rtts_byte_identical_to_seed(self):
         plain = run_round_trip(size=500, iterations=4, warmup=1)
@@ -191,6 +170,39 @@ class TestHooks:
         assert observed.rtt_us == plain.rtt_us
         assert observed.client_spans == plain.client_spans
         assert observed.server_spans == plain.server_spans
+
+
+def _execution(network, size, observed, p_drop=0.0):
+    """What a run executed: its events, each host's CPU work, its RTT
+    samples and its packet log, with or without a full observer."""
+    from repro.chaos import ImpairmentConfig, Impairments
+    from repro.core.experiment import RoundTripBenchmark
+    from repro.core.testbed import build_pair
+
+    impairments = (Impairments(ImpairmentConfig(seed=1994, p_drop=p_drop))
+                   if p_drop else None)
+    observer = Observer(lineage=True, flow=True) if observed else None
+    tb = build_pair(network, observer=observer, impairments=impairments)
+    log = observer.packet_log if observed else attach_packet_log(tb)
+    result = RoundTripBenchmark(tb, size, iterations=8, warmup=1).run()
+    if p_drop:
+        assert impairments.stats.drops > 0
+    return (tb.sim.events_executed,
+            [(host.cpu.jobs_completed, host.cpu.preemptions,
+              host.cpu.busy_ns) for host in tb.hosts],
+            list(result.rtt_us), log.format())
+
+
+@pytest.mark.parametrize("network,size,p_drop", [
+    ("atm", 4, 0.0), ("atm", 8000, 0.0), ("ethernet", 1400, 0.0),
+    ("atm", 1400, 0.15)], ids=["atm_4", "atm_8000", "ethernet_1400",
+                               "atm_1400_lossy"])
+def test_observing_does_not_change_execution(network, size, p_drop):
+    """An observed run executes exactly the events of the unobserved
+    one: no hook point in the event kernel, and inline CPU charges stay
+    inline with hooks installed."""
+    assert _execution(network, size, True, p_drop) == \
+        _execution(network, size, False, p_drop)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ list) landed.  Each fixture holds the full observable surface of one
 round-trip run — every packet-log line, every RTT sample, and the
 conservation counters (CPU busy ns, jobs, preemptions, IPQ and TCP
 counts).  These tests replay the same runs on the current engine, both
-with hooks installed (guarded dispatch path, where ``Simulator.advance``
-refuses, so every CPU charge costs a heap event) and without (fast
-path, where uncontended charges complete inside their submitter), and
+with ``Simulator.advance`` stubbed to refuse (the general path, where
+every CPU charge costs a heap event) and as shipped (the fast path,
+where uncontended charges complete inside their submitter), and
 require byte-for-byte equality.
 
 ``tests/perf_golden/tables.txt`` pins the printed paper tables the same
@@ -27,6 +27,7 @@ from repro.core.experiment import RoundTripBenchmark, run_round_trip
 from repro.core.packetlog import attach_packet_log
 from repro.core.testbed import build_pair
 from repro.kern.config import KernelConfig
+from repro.sim.engine import Simulator
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "perf_golden")
 CASES = sorted(f[:-5] for f in os.listdir(GOLDEN_DIR)
@@ -42,9 +43,11 @@ def load(case):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_hooked_run_matches_seed_golden(case):
-    """Guarded dispatch path (hooks installed by the racechecker)."""
+def test_hooked_run_matches_seed_golden(case, monkeypatch):
+    """General path: the shortcut forced off, so every charge is an
+    event; digested by the racechecker."""
     doc, config = load(case)
+    monkeypatch.setattr(Simulator, "advance", lambda self, time: False)
     digest = digest_round_trip(config=config, **doc["kwargs"])
     assert digest.invariant_violations == []
     assert digest.lines == doc["lines"]
@@ -53,8 +56,9 @@ def test_hooked_run_matches_seed_golden(case):
              if ".span." in name}
     assert {name: value for name, value in digest.counters.items()
             if name not in spans} == doc["counters"]
-    # The fixtures predate the digest's span totals: the hooked run's
-    # must equal the unhooked run's, name for name and bit for bit.
+    # The fixtures predate the digest's span totals: the general path's
+    # must equal the fast path's, name for name and bit for bit.
+    monkeypatch.undo()
     plain = run_round_trip(config=config, **doc["kwargs"])
     assert spans == {
         f"{host}.span.{name}": total
@@ -65,11 +69,10 @@ def test_hooked_run_matches_seed_golden(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_fast_path_run_matches_seed_golden(case):
-    """Hooks-off fast path: same runs without any SimHooks installed."""
+    """Fast path: the same runs with the inline-charge shortcut on."""
     doc, config = load(case)
     kwargs = doc["kwargs"]
     testbed = build_pair(kwargs["network"], config=config)
-    assert testbed.sim.hooks is None  # the point of this variant
     log = attach_packet_log(testbed)
     result = RoundTripBenchmark(testbed, kwargs["size"],
                                 iterations=kwargs["iterations"],

@@ -323,18 +323,42 @@ def test_only_the_last_waiter_of_a_fanned_out_event_may_take(trigger):
     assert resumed == {"first": 100, "second": 100, "first charged": 150}
 
 
-class _Silent(SimHooks):
-    """Installed hooks that do nothing: they force the shortcut off."""
+class _JobLog(SimHooks):
+    """Every job callback with its time, job and ready-queue depth."""
+
+    def __init__(self):
+        self.entries = []
+
+    def _log(self, kind, now_ns, cpu, job):
+        self.entries.append((kind, now_ns, job.name, job.priority,
+                             cpu.queue_depth()))
+
+    def on_job_start(self, now_ns, cpu, job):
+        self._log("start", now_ns, cpu, job)
+
+    def on_job_preempt(self, now_ns, cpu, job):
+        self._log("preempt", now_ns, cpu, job)
+
+    def on_job_resume(self, now_ns, cpu, job):
+        self._log("resume", now_ns, cpu, job)
+
+    def on_job_finish(self, now_ns, cpu, job):
+        self._log("finish", now_ns, cpu, job)
 
 
-def _random_run(seed, tiebreak, shortcut):
+def _random_run(seed, tiebreak, shortcut, hooks=True):
     """Random processes at random priorities charging with wait=True and
     through plain yields, with random timeouts, shared (fanned-out)
-    ticks and cancelled timers, driven across a run(until) deadline."""
+    ticks and cancelled timers, driven across a run(until) deadline.
+    Without *shortcut* every advance refuses, so each charge takes the
+    event path."""
     sim = Simulator(tiebreak=tiebreak)
     if not shortcut:
-        sim.set_hooks(_Silent())
+        sim.advance = lambda time: False
     cpu = CPU(sim, "cpu0")
+    log = _JobLog()
+    if hooks:
+        cpu.hooks = log
     priorities = (Priority.HARD_INTR, Priority.SOFT_INTR, Priority.KERNEL,
                   Priority.USER)
     ticks = [sim.timeout(t) for t in (500, 1_000, 2_500)]
@@ -377,18 +401,25 @@ def _random_run(seed, tiebreak, shortcut):
         sim.process(proc(pid))
     sim.run(until=700)
     sim.run()
-    return (traces, sim.now, cpu.busy_ns, cpu.busy_by_label,
-            cpu.preemptions, cpu.jobs_completed), sim.events_executed
+    return ((traces, sim.now, cpu.busy_ns, cpu.busy_by_label,
+             cpu.preemptions, cpu.jobs_completed), log.entries,
+            sim.events_executed)
 
 
 @pytest.mark.parametrize("tiebreak", ["fifo", "lifo", "shuffle:7"])
 def test_shortcut_is_invisible_to_random_workloads(tiebreak):
-    """The (time, label) trace of every process and the CPU's accounting
-    are the same with the shortcut on and forced off."""
+    """The (time, label) trace of every process, the CPU's accounting
+    and its hook log are the same with the shortcut on and forced off,
+    and installing the hooks changes nothing, the event count included."""
     saved = 0
     for seed in range(40):
-        on, events_on = _random_run(seed, tiebreak, shortcut=True)
-        off, events_off = _random_run(seed, tiebreak, shortcut=False)
-        assert on == off, f"seed {seed}"
+        on, log_on, events_on = _random_run(seed, tiebreak, shortcut=True)
+        off, log_off, events_off = _random_run(seed, tiebreak,
+                                               shortcut=False)
+        bare, _, events_bare = _random_run(seed, tiebreak, shortcut=True,
+                                           hooks=False)
+        assert on == off == bare, f"seed {seed}"
+        assert log_on == log_off, f"seed {seed}"
+        assert events_on == events_bare, f"seed {seed}"
         saved += events_off - events_on
     assert saved > 0  # the shortcut was taken
