@@ -70,6 +70,7 @@ and exits 2.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 import time
@@ -324,6 +325,23 @@ def _count(flag, value) -> int:
     if number < 1:
         raise ValueError(f"{flag} must be at least 1, got {number}")
     return number
+
+
+def _probability(flag, value) -> float:
+    """``float(value)`` for a probability flag; ValueError outside [0, 1]."""
+    number = float(value)
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"{flag} must lie in [0, 1], got {number}")
+    return number
+
+
+def _values(flag, value, parse) -> list:
+    """Each comma-separated item of *value* through *parse*; ValueError
+    when there is none, so a sweep always has a cell to run."""
+    items = [parse(flag, x) for x in value.split(",") if x]
+    if not items:
+        raise ValueError(f"{flag} needs at least one value")
+    return items
 
 
 def _network(value) -> str:
@@ -712,10 +730,9 @@ def cmd_chaos(args) -> int:
                 elif arg == "--network":
                     network = _network(value)
                 elif arg == "--losses":
-                    losses = [float(x) for x in value.split(",") if x]
+                    losses = _values(arg, value, _probability)
                 elif arg == "--sizes":
-                    sizes = [_count(arg, x) for x in value.split(",")
-                             if x]
+                    sizes = _values(arg, value, _count)
                 else:
                     iterations = _count(arg, value)
             except ValueError:
@@ -772,11 +789,15 @@ def cmd_fuzz(args) -> int:
             value = args[i + 1]
             try:
                 if arg == "--seeds":
-                    seeds = int(value)
+                    seeds = _count(arg, value)
                 elif arg == "--packets":
                     packets = int(value)
+                    if packets < 0:
+                        raise ValueError(f"{arg} must be at least 0")
                 elif arg == "--budget":
                     budget = float(value)
+                    if not 0.0 < budget < math.inf:
+                        raise ValueError(f"{arg} must be finite and > 0")
                 elif arg == "--replay":
                     replay = value
                 elif arg == "--save":

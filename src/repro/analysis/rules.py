@@ -406,11 +406,9 @@ def check_unguarded_hook(ctx: LintContext) -> Iterator[Finding]:
 LAYERING: Dict[str, Dict[str, Set[str]]] = {
     "sim": {"allowed": {"repro.sim"}},
     "hw": {"allowed": {"repro.hw", "repro.sim"}},
-    "mem": {"allowed": {"repro.mem", "repro.sim", "repro.hw",
-                        "repro.perf.native"}},
+    "mem": {"allowed": {"repro.mem", "repro.sim", "repro.hw"}},
     "net": {"allowed": {"repro.net", "repro.checksum"}},
-    "checksum": {"allowed": {"repro.checksum", "repro.hw",
-                             "repro.perf.native"}},
+    "checksum": {"allowed": {"repro.checksum", "repro.hw"}},
     "tcp": {"forbidden": {"repro.atm", "repro.ethernet", "repro.core",
                           "repro.obs", "repro.faults", "repro.udp",
                           "repro.analysis", "repro.chaos"}},
@@ -436,11 +434,6 @@ LAYERING: Dict[str, Dict[str, Set[str]]] = {
 }
 
 
-#: The compiled extension package may only be imported by the dispatch
-#: module (which applies the REPRO_NATIVE policy) and by itself.
-_NATIVE_IMPORTERS: Set[str] = {"repro.perf.native", "repro._native"}
-
-
 def _prefix_match(module: str, prefixes: Set[str]) -> bool:
     return any(module == p or module.startswith(p + ".")
                for p in prefixes)
@@ -448,13 +441,11 @@ def _prefix_match(module: str, prefixes: Set[str]) -> bool:
 
 @rule("layering", Severity.ERROR, "all",
       "Import crosses the architecture's layer boundaries (e.g. "
-      "repro.tcp importing repro.atm, repro.sim importing anything "
-      "beyond itself, or anything outside repro.perf.native importing "
-      "repro._native directly).")
+      "repro.tcp importing repro.atm, or repro.sim importing anything "
+      "beyond itself).")
 def check_layering(ctx: LintContext) -> Iterator[Finding]:
     policy = LAYERING.get(ctx.package or "")
-    guard_native = not _prefix_match(ctx.module or "", _NATIVE_IMPORTERS)
-    if policy is None and not guard_native:
+    if policy is None:
         return
     for node in ast.walk(ctx.tree):
         targets: List[str] = []
@@ -465,15 +456,6 @@ def check_layering(ctx: LintContext) -> Iterator[Finding]:
             targets = [node.module]
         for target in targets:
             if not target.startswith("repro"):
-                continue
-            if guard_native and _prefix_match(target, {"repro._native"}):
-                yield ctx.finding(
-                    node, "layering", Severity.ERROR,
-                    f"{ctx.module} imports {target}; only "
-                    f"repro.perf.native may import the compiled "
-                    f"extension (use `repro.perf.native.lib`)")
-                continue
-            if policy is None:
                 continue
             allowed = policy.get("allowed")
             if allowed is not None:

@@ -119,26 +119,6 @@ def combine(parts: Iterable[Tuple[int, int]]) -> int:
     return total
 
 
-def internet_checksum(data: Buffer, initial: int = 0) -> int:
-    """The Internet checksum of *data*: one's complement of the folded sum.
-
-    *initial* is an extra raw sum to include (e.g. a pseudo-header sum).
-    """
-    return ~fold(raw_sum(data) + initial) & 0xFFFF
-
-
-# ----------------------------------------------------------------------
-# Optional compiled path (repro._native._corec), selected once at
-# import time by repro.perf.native.  The pure definitions above stay
-# importable as _*_py for the native-vs-pure equivalence tests; every
-# later importer of this module binds the rebound (native) names.
-# The other functions stay pure.
-# ----------------------------------------------------------------------
-
-import repro.perf.native as _native_dispatch
-
-if _native_dispatch.lib is not None:
-    _raw_sum_py = raw_sum
-    _internet_checksum_py = internet_checksum
-    raw_sum = _native_dispatch.lib.raw_sum
-    internet_checksum = _native_dispatch.lib.internet_checksum
+def internet_checksum(data: Buffer) -> int:
+    """The Internet checksum of *data*: one's complement of the folded sum."""
+    return ~fold(raw_sum(data)) & 0xFFFF

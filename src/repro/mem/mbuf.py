@@ -23,16 +23,10 @@ from sys import getrefcount as _refcount
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple, Union
 
 from repro.mem.sanitize import MbufProvenance, MbufSanitizer, sanitize_enabled
-import repro.perf.native as _native_dispatch
 from repro.sim.engine import us as _us
 
 if TYPE_CHECKING:
     from repro.hw.costs import MachineCosts
-
-#: Compiled chain helpers (repro._native._corec) or None; selected once
-#: at import time by repro.perf.native.  Byte-identical to the pure
-#: branches below, including use-after-free and bounds error messages.
-_NATIVE = _native_dispatch.lib
 
 __all__ = [
     "MBUF_DATA_SIZE",
@@ -62,10 +56,6 @@ Buffer = Union[bytes, bytearray, memoryview]
 
 class MbufError(Exception):
     """Mbuf misuse (double free, over-capacity store, ...)."""
-
-
-if _NATIVE is not None:
-    _NATIVE.mbuf_install(MbufError)
 
 
 class MbufExhausted(MbufError):
@@ -172,8 +162,6 @@ class MbufChain:
     @property
     def length(self) -> int:
         """Total data bytes across the chain."""
-        if _NATIVE is not None:
-            return _NATIVE.chain_length(self.mbufs)  # type: ignore[no-any-return]
         return sum(len(m) for m in self.mbufs)
 
     @property
@@ -186,8 +174,6 @@ class MbufChain:
 
     def to_bytes(self) -> bytes:
         """The chain's contents as one contiguous byte string."""
-        if _NATIVE is not None:
-            return _NATIVE.chain_to_bytes(self.mbufs)  # type: ignore[no-any-return]
         return b"".join(m.data for m in self.mbufs)
 
     def append(self, mbuf: Mbuf) -> None:
@@ -198,9 +184,6 @@ class MbufChain:
 
     def slice_bytes(self, offset: int, length: int) -> bytes:
         """Bytes ``[offset, offset+length)`` of the chain's contents."""
-        if _NATIVE is not None:
-            return _NATIVE.chain_slice(  # type: ignore[no-any-return]
-                self.mbufs, offset, length)
         if offset < 0 or length < 0 or offset + length > self.length:
             raise MbufError(
                 f"slice [{offset}:{offset + length}] outside chain "
@@ -215,9 +198,6 @@ class MbufChain:
         by TCP both for the retransmission copy and to decide whether the
         stored partial checksums cover a segment exactly.
         """
-        if _NATIVE is not None:
-            return _NATIVE.chain_spans(  # type: ignore[no-any-return]
-                self.mbufs, offset, length)
         if offset < 0 or length < 0 or offset + length > self.length:
             raise MbufError("span outside chain")
         result = []
@@ -438,9 +418,6 @@ class MbufPool:
     # ------------------------------------------------------------------
     def chunk_sizes(self, total: int, use_clusters: bool) -> List[int]:
         """How the socket layer splits *total* bytes into mbufs."""
-        if _NATIVE is not None:
-            return _NATIVE.chunk_sizes(  # type: ignore[no-any-return]
-                total, MCLBYTES if use_clusters else MBUF_DATA_SIZE)
         if total == 0:
             return [0]
         unit = MCLBYTES if use_clusters else MBUF_DATA_SIZE

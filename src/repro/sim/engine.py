@@ -15,9 +15,7 @@ The kernel is deliberately small and deterministic:
   events of the same unobserved run.  CPU work is observed through
   the CPU model's job hooks (:attr:`repro.sim.cpu.CPU.hooks`).
 
-Performance notes.  The engine is pure Python on every build; the
-optional compiled extension twins only the checksum and the mbuf
-chain helpers.
+Performance notes.
 
 * Heap entries are ``(time, key, call)`` tuples, so every sift
   comparison during push/pop is a C-level integer compare —

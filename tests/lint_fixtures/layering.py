@@ -6,5 +6,3 @@ from repro.obs import Observer
 
 from repro.net.headers import TCPFlags
 from repro.sim.engine import us
-import repro._native
-from repro._native import raw_sum

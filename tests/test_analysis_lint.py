@@ -96,7 +96,7 @@ def test_module_directive_enables_zone_rules():
     findings = Linter().lint_source("import repro.atm\n", "anywhere.py")
     assert findings == []
     # The engine imports nothing beyond itself, not even repro.obs.
-    for imported in ("repro.perf.native", "repro.obs.hooks"):
+    for imported in ("repro.perf.bench", "repro.obs.hooks"):
         source = ("# repro: module(repro.sim.fake)\n"
                   f"import {imported}\n")
         findings = Linter().lint_source(source, "anywhere.py")

@@ -43,7 +43,18 @@ class TestCLI:
         ["chaos", "--network", "bogus"],
         ["chaos", "--sizes", "1400,0"],
         ["chaos", "--iterations", "0"],
+        ["chaos", "--losses", "1.5"],
+        ["chaos", "--losses", "0,1.5"],
+        ["chaos", "--losses", "nan"],
+        ["chaos", "--losses", ","],
+        ["chaos", "--sizes", ","],
         ["fuzz", "--network", "bogus"],
+        ["fuzz", "--seeds", "0"],
+        ["fuzz", "--seeds", "-2"],
+        ["fuzz", "--packets", "-5"],
+        ["fuzz", "--budget", "-1"],
+        ["fuzz", "--budget", "0"],
+        ["fuzz", "--budget", "nan"],
         ["fuzz", "--replay", "no/such/case.json"],
         ["bench", "--quick"],
     ], ids=" ".join)
