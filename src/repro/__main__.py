@@ -86,6 +86,7 @@ from repro.core.microbench import (
 )
 from repro.core.report import ascii_chart, format_table, pct_change
 from repro.kern.config import ChecksumMode, KernelConfig
+from repro.sim.engine import tiebreak_keyfn
 
 ITER, WARM = 6, 2
 
@@ -333,6 +334,16 @@ def _probability(flag, value) -> float:
     if not 0.0 <= number <= 1.0:
         raise ValueError(f"{flag} must lie in [0, 1], got {number}")
     return number
+
+
+def _perturbation(flag, value) -> str:
+    """One ``--tiebreaks`` item: a tie-break policy other than ``fifo``,
+    which is the baseline every perturbation is compared against.
+    SchedulingError for an unknown policy, ValueError for ``fifo``."""
+    policy = value.strip()
+    if tiebreak_keyfn(policy) is None:
+        raise ValueError(f"{flag}: fifo is the baseline, not a perturbation")
+    return policy
 
 
 def _values(flag, value, parse) -> list:
@@ -656,9 +667,8 @@ def cmd_racecheck(args) -> int:
     """``python -m repro racecheck [target] [--size N] ...``."""
     from repro.analysis import DEFAULT_PERTURBATIONS, racecheck_round_trip
     from repro.sim import SchedulingError
-    from repro.sim.engine import tiebreak_keyfn
 
-    tiebreaks = list(DEFAULT_PERTURBATIONS)
+    spec = ",".join(DEFAULT_PERTURBATIONS)
     rest = []
     i = 0
     while i < len(args):
@@ -666,16 +676,14 @@ def cmd_racecheck(args) -> int:
             if i + 1 >= len(args):
                 print("racecheck: --tiebreaks needs a value")
                 return 2
-            tiebreaks = [t.strip() for t in args[i + 1].split(",")
-                         if t.strip()]
+            spec = args[i + 1]
             i += 2
         else:
             rest.append(args[i])
             i += 1
     try:
         opts = _parse_obs_args(rest, default_size=1400, default_iters=4)
-        for policy in tiebreaks:
-            tiebreak_keyfn(policy)
+        tiebreaks = _values("--tiebreaks", spec, _perturbation)
     except (ValueError, SchedulingError) as error:
         print(f"racecheck: {error}")
         return 2

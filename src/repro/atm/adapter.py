@@ -111,7 +111,9 @@ class ForeTca100:
         """Driver transmit: segment into cells and write to the TX FIFO."""
         if self.link is None:
             raise RuntimeError("ATM interface not attached to a link")
-        yield self._tx_lock.acquire()
+        ev = self._tx_lock.acquire(wait=True)
+        if ev is not None:
+            yield ev
         try:
             yield from self._transmit(packet, priority, data_bearing)
         finally:

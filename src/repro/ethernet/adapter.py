@@ -118,7 +118,9 @@ class LanceEthernet:
                data_bearing: bool = True) -> Generator:
         if self.link is None:
             raise RuntimeError("Ethernet interface not attached to a link")
-        yield self._tx_lock.acquire()
+        ev = self._tx_lock.acquire(wait=True)
+        if ev is not None:
+            yield ev
         try:
             yield from self._transmit(packet, priority, data_bearing)
         finally:

@@ -91,13 +91,6 @@ class Host:
     def _tcp_input(self, packet):
         yield from self.tcp.input(packet, Priority.SOFT_INTR)
 
-    def splnet_acquire(self):
-        """Event to ``yield`` for entering a protocol section."""
-        return self.splnet.acquire()
-
-    def splnet_release(self) -> None:
-        self.splnet.release()
-
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------

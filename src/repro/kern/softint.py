@@ -108,7 +108,9 @@ class SoftNet:
                 if self.splnet is not None:
                     # Serialize against process-context protocol work
                     # (BSD's splnet discipline).
-                    yield self.splnet.acquire()
+                    ev = self.splnet.acquire(wait=True)
+                    if ev is not None:
+                        yield ev
                     try:
                         yield from self.ip_input(packet)
                     finally:

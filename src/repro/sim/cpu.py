@@ -35,7 +35,9 @@ loop could run before it ends, :meth:`CPU.run` does the work on the
 spot and returns ``None``: no :class:`Job`, no event, and the
 submitter carries on without suspending its generator chain.
 Otherwise it returns the job to yield.  A plain ``yield cpu.run(...)``
-keeps the one-event path.
+keeps the one-event path.  Locks take the same shortcut through the
+same test: :meth:`repro.sim.resources.Semaphore.acquire` with
+``wait=True``.
 
 Observability enters here and nowhere in the event kernel:
 :attr:`CPU.hooks` (a :class:`repro.obs.hooks.SimHooks`, ``None`` by

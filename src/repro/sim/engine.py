@@ -26,11 +26,14 @@ Performance notes.
   (a deadline and an event).
 * :meth:`Simulator.advance` moves the clock to a time the caller is
   about to wait for when the loop would run nothing before it, so the
-  caller does the work itself and no event is built.  The CPU model
-  finishes uncontended charges this way (``CPU.run(..., wait=True)``),
-  so most charges never reach the heap.  The loop publishes its stop
-  rules for this test, and a multi-waiter event hides them from all
-  but its last waiter.
+  caller does the work itself and no event is built.  It serves CPU
+  charges and lock acquires: the CPU model finishes uncontended
+  charges this way (``CPU.run(..., wait=True)``), and a free
+  semaphore unit is taken without the delay-0 resume
+  (``Semaphore.acquire(wait=True)``), so most charges and acquires
+  never reach the heap.  The loop publishes its stop rules for this
+  test, and a multi-waiter event hides them from all but its last
+  waiter.
 * A :class:`ScheduledCall` is three fields.  :meth:`ScheduledCall.cancel`
   clears ``fn``, which is the loop's single cancelled-entry test; a
   handle is never reused, so a stale ``cancel()`` on a spent handle is

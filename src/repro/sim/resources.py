@@ -74,14 +74,35 @@ class Semaphore:
     def value(self) -> int:
         return self._value
 
-    def acquire(self) -> Event:
-        """Event that succeeds once a unit is held."""
-        ev = self.sim.event(name=f"{self.name}:acquire")
+    def acquire(self, wait: bool = False) -> Optional[Event]:
+        """Event that succeeds once a unit is held.
+
+        A caller that yields the event at once passes ``wait=True`` and
+        yields only what comes back::
+
+            ev = sem.acquire(wait=True)
+            if ev is not None:
+                yield ev
+
+        ``None`` means the unit is already held: one was free, and
+        :meth:`Simulator.advance` found nothing the loop could run
+        before the delay-0 resume that yielding the triggered event
+        would cost, so the caller carries on without suspending.
+        ``advance`` refuses when a live entry due at ``now`` would run
+        first under the tie-break policy, when the loop stops after
+        this dispatch (always in :meth:`Simulator.step` and outside any
+        loop), and in all but the last waiter of a fanned-out event;
+        the event then comes back already triggered, as without
+        *wait*.  With no unit free it comes back pending, and waiters
+        wake in FIFO order.
+        """
         if self._value > 0:
             self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            if wait and self.sim.advance(self.sim.now):
+                return None
+            return self.sim.event(name=f"{self.name}:acquire").succeed()
+        ev = self.sim.event(name=f"{self.name}:acquire")
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:

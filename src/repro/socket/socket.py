@@ -69,14 +69,16 @@ class Socket:
         if self.conn is not None:
             raise SocketError("socket already connected")
         yield from self._charge_syscall_entry()
-        yield self.host.splnet_acquire()
+        ev = self.host.splnet.acquire(wait=True)
+        if ev is not None:
+            yield ev
         try:
             self.conn = self.host.tcp.create_connection(
                 self, local_port=None,
                 remote_ip=remote_ip, remote_port=remote_port)
             yield from self.conn.connect(Priority.KERNEL)
         finally:
-            self.host.splnet_release()
+            self.host.splnet.release()
         yield self.conn.established_event
         yield from self._charge_syscall_exit()
 
@@ -116,9 +118,11 @@ class Socket:
         while len(remaining):
             # Enter the protocol section (splnet) before touching the
             # socket buffer; sleep for space with the section released.
-            yield self.host.splnet_acquire()
+            ev = self.host.splnet.acquire(wait=True)
+            if ev is not None:
+                yield ev
             if self.so_snd.space == 0:
-                self.host.splnet_release()
+                self.host.splnet.release()
                 self._raise_if_cannot_send()
                 yield from self.host.scheduler.sleep(self.snd_channel)
                 continue
@@ -127,7 +131,7 @@ class Socket:
                 # ENOBUFS: sosend sleeps in m_wait and retries rather
                 # than failing the write.  The section must be released
                 # first so the receive path can free mbufs meanwhile.
-                self.host.splnet_release()
+                self.host.splnet.release()
                 self._raise_if_cannot_send()
                 yield self.host.sim.timeout(
                     us(self.host.config.mbuf_wait_us))
@@ -150,7 +154,7 @@ class Socket:
                     yield from self.conn.output(Priority.KERNEL)
                     self.conn.end_output_call()
             finally:
-                self.host.splnet_release()
+                self.host.splnet.release()
             if wait_enobufs:
                 yield self.host.sim.timeout(
                     us(self.host.config.mbuf_wait_us))
@@ -246,21 +250,25 @@ class Socket:
         received = bytearray()
         while len(received) < nbytes:
             yield from self._charge_syscall_entry()
-            yield self.host.splnet_acquire()
+            ev = self.host.splnet.acquire(wait=True)
+            if ev is not None:
+                yield ev
             while self.so_rcv.empty:
-                self.host.splnet_release()
+                self.host.splnet.release()
                 if self.eof or self.error:
                     yield from self._charge_syscall_exit()
                     self._raise_if_dead(allow_eof=True)
                     return bytes(received)
                 yield from self.host.scheduler.sleep(
                     self.rcv_channel, span="rx.wakeup")
-                yield self.host.splnet_acquire()
+                ev = self.host.splnet.acquire(wait=True)
+                if ev is not None:
+                    yield ev
             try:
                 chunk = yield from self._soreceive_copyout(
                     nbytes - len(received))
             finally:
-                self.host.splnet_release()
+                self.host.splnet.release()
             received.extend(chunk)
             if not exact:
                 break
@@ -314,11 +322,13 @@ class Socket:
         if self.conn is None:
             return
         yield from self._charge_syscall_entry()
-        yield self.host.splnet_acquire()
+        ev = self.host.splnet.acquire(wait=True)
+        if ev is not None:
+            yield ev
         try:
             yield from self.conn.usr_close(Priority.KERNEL)
         finally:
-            self.host.splnet_release()
+            self.host.splnet.release()
         yield from self._charge_syscall_exit()
 
     # ------------------------------------------------------------------

@@ -1107,11 +1107,13 @@ class TCPConnection:
 
     def _under_splnet(self, body) -> Generator:
         """Run a timer-driven protocol section under the splnet mutex."""
-        yield self.host.splnet_acquire()
+        ev = self.host.splnet.acquire(wait=True)
+        if ev is not None:
+            yield ev
         try:
             yield from body
         finally:
-            self.host.splnet_release()
+            self.host.splnet.release()
 
     def _retransmit(self) -> Generator:
         if self.state is TCPState.SYN_SENT:

@@ -39,12 +39,14 @@ class UDPSocket:
         job = cpu.run(copy_cost, Priority.KERNEL, "udp copyin", wait=True)
         if job is not None:
             yield job
-        yield self.host.splnet_acquire()
+        ev = self.host.splnet.acquire(wait=True)
+        if ev is not None:
+            yield ev
         try:
             yield from self.host.udp.output(self.port, dst_ip, dst_port,
                                             payload, Priority.KERNEL)
         finally:
-            self.host.splnet_release()
+            self.host.splnet.release()
         job = cpu.run(us(costs.syscall_exit_us), Priority.KERNEL,
                       "syscall exit", wait=True)
         if job is not None:

@@ -40,6 +40,8 @@ class TestCLI:
                       ["--iterations", "0"])),
         ["racecheck", "--tiebreaks", "lifo,bogus"],
         ["racecheck", "--tiebreaks", "shuffle:z"],
+        ["racecheck", "--tiebreaks", ","],
+        ["racecheck", "--tiebreaks", "fifo"],
         ["chaos", "--network", "bogus"],
         ["chaos", "--sizes", "1400,0"],
         ["chaos", "--iterations", "0"],

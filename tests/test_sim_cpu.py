@@ -5,7 +5,15 @@ import random
 import pytest
 
 from repro.obs.hooks import SimHooks
-from repro.sim import CPU, Event, EventError, Job, Priority, Simulator
+from repro.sim import (
+    CPU,
+    Event,
+    EventError,
+    Job,
+    Priority,
+    Semaphore,
+    Simulator,
+)
 
 
 def make_cpu():
@@ -349,9 +357,9 @@ class _JobLog(SimHooks):
 def _random_run(seed, tiebreak, shortcut, hooks=True):
     """Random processes at random priorities charging with wait=True and
     through plain yields, with random timeouts, shared (fanned-out)
-    ticks and cancelled timers, driven across a run(until) deadline.
-    Without *shortcut* every advance refuses, so each charge takes the
-    event path."""
+    ticks, cancelled timers and a shared lock taken both ways, driven
+    across a run(until) deadline.  Without *shortcut* every advance
+    refuses, so each charge and each acquire takes the event path."""
     sim = Simulator(tiebreak=tiebreak)
     if not shortcut:
         sim.advance = lambda time: False
@@ -362,6 +370,7 @@ def _random_run(seed, tiebreak, shortcut, hooks=True):
     priorities = (Priority.HARD_INTR, Priority.SOFT_INTR, Priority.KERNEL,
                   Priority.USER)
     ticks = [sim.timeout(t) for t in (500, 1_000, 2_500)]
+    lock = Semaphore(sim, value=1, name="lock")
     traces = {}
 
     def proc(pid):
@@ -372,23 +381,41 @@ def _random_run(seed, tiebreak, shortcut, hooks=True):
         for step in range(rng.randrange(5, 25)):
             action = rng.random()
             label = f"p{pid % 3}"
-            if action < 0.35:
+            if action < 0.3:
                 yield from charge(cpu, rng.randrange(0, 200),
                                   rng.choice(priorities), label)
-            elif action < 0.6:
+            elif action < 0.5:
                 yield cpu.run(rng.randrange(0, 200), rng.choice(priorities),
                               label)
-            elif action < 0.7:
+            elif action < 0.6:
                 cpu.run(rng.randrange(0, 100), rng.choice(priorities),
                         "background")
-            elif action < 0.8:
+            elif action < 0.68:
                 yield rng.randrange(0, 150)
-            elif action < 0.87:
+            elif action < 0.74:
                 yield sim.timeout(rng.randrange(0, 150))
-            elif action < 0.93:
+            elif action < 0.8:
                 tick = rng.choice(ticks)
                 if not tick.triggered:
                     yield tick
+            elif action < 0.9:
+                if rng.random() < 0.3:
+                    # A live entry due now, which the resume of a
+                    # triggered acquire must not overtake.
+                    sim.schedule(0, trace.append, (sim.now, "due", step))
+                if rng.random() < 0.5:
+                    ev = lock.acquire(wait=True)
+                    if ev is not None:
+                        yield ev
+                else:
+                    yield lock.acquire()
+                trace.append((sim.now, "locked", step))
+                if rng.random() < 0.5:
+                    yield rng.randrange(0, 150)
+                else:
+                    yield from charge(cpu, rng.randrange(0, 200),
+                                      rng.choice(priorities), label)
+                lock.release()
             else:
                 timers.append(sim.schedule(
                     rng.randrange(0, 300),

@@ -112,6 +112,111 @@ class TestSemaphore:
         assert max_active[0] == 1
         assert sim.now == 500
 
+    @staticmethod
+    def _enter(sem, seen):
+        """A process body: acquire with wait=True, logging what came
+        back and the value, then the time it holds the unit."""
+        ev = sem.acquire(wait=True)
+        seen.append((ev, sem.value))
+        if ev is not None:
+            yield ev
+        seen.append(sem.sim.now)
+
+    def test_wait_takes_a_free_unit_with_no_event(self):
+        """Nothing is due, so the unit is taken inline: no event, no
+        suspension; the process start is the only dispatch."""
+        sim = Simulator()
+        sem = Semaphore(sim, value=1)
+        seen = []
+        sim.process(self._enter(sem, seen))
+        sim.run()
+        assert seen == [(None, 0), 0]
+        assert sim.events_executed == 1
+
+    def test_wait_yields_to_an_entry_due_now(self):
+        """A live entry due at ``now`` would run before the resume, so
+        the triggered event comes back and the process resumes after
+        that entry, as with a plain acquire."""
+
+        def order(wait):
+            sim = Simulator()
+            sem = Semaphore(sim, value=1)
+            ran = []
+
+            def proc():
+                sim.schedule(0, ran.append, "due")
+                ev = sem.acquire(wait=wait)
+                ran.append((ev.triggered, sem.value))
+                yield ev
+                ran.append("resumed")
+
+            sim.process(proc())
+            sim.run()
+            return ran, sim.events_executed
+
+        assert order(wait=True) == order(wait=False) == (
+            [(True, 0), "due", "resumed"], 3)
+
+    def test_shuffle_keys_match_the_event_it_replaces(self):
+        """An inline acquire consumes the sequence number of the resume
+        it skips, so under a shuffled tie-break every later same-time
+        event keeps its key and its turn."""
+
+        def order(wait):
+            sim = Simulator(tiebreak="shuffle:3")
+            sem = Semaphore(sim, value=1)
+            ran = []
+
+            def proc():
+                yield 10
+                ev = sem.acquire(wait=wait)
+                assert (ev is None) == wait
+                if ev is not None:
+                    yield ev
+                for i in range(8):
+                    sim.schedule(10, ran.append, i)
+
+            sim.process(proc())
+            sim.run()
+            assert sim.now == 20
+            return ran
+
+        assert order(wait=True) == order(wait=False)
+        assert order(wait=True) != list(range(8))
+
+    def test_wait_on_a_held_semaphore_queues_fifo(self):
+        sim = Simulator()
+        sem = Semaphore(sim, value=1)
+        pending, entered = [], []
+
+        def worker(tag, start):
+            yield start
+            ev = sem.acquire(wait=True)
+            if ev is not None:
+                pending.append((tag, ev.triggered))
+                yield ev
+            entered.append((tag, sim.now))
+            yield 100
+            sem.release()
+
+        for tag, start in (("a", 0), ("b", 30), ("c", 10), ("d", 20)):
+            sim.process(worker(tag, start))
+        sim.run()
+        assert pending == [("c", False), ("d", False), ("b", False)]
+        assert entered == [("a", 0), ("c", 100), ("d", 200), ("b", 300)]
+        assert sem.value == 1
+
+    def test_wait_returns_an_event_in_step_and_outside_a_loop(self):
+        sim = Simulator()
+        sem = Semaphore(sim, value=2)
+        outside = sem.acquire(wait=True)
+        assert outside is not None and outside.triggered
+        seen = []
+        sim.process(self._enter(sem, seen))
+        assert sim.step()
+        ev, value = seen[0]
+        assert ev is not None and ev.triggered and value == 0
+
 
 class TestSignal:
     def test_fire_wakes_all_current_waiters(self):
