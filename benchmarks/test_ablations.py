@@ -118,8 +118,8 @@ def test_ablation_partial_checksum_extensions():
 
 def test_ablation_tx_fifo_depth():
     """How deep must the TCA-100's TX FIFO be for the driver's copy
-    loop to never stall?  The calibrated copy rate nearly fills the
-    real 36-cell FIFO on page-sized segments."""
+    loop to never stall?  The calibrated copy rate fills the real
+    36-cell FIFO to 21 cells on page-sized segments."""
     from repro.atm.adapter import ForeTca100
     from repro.core.testbed import build_atm_pair
     from repro.core.experiment import RoundTripBenchmark
@@ -149,7 +149,7 @@ def test_ablation_tx_fifo_depth():
         "8000-byte RTT vs TX FIFO depth",
         ("cells", "rtt_us", "stall_us"), rows))
     # A tiny FIFO stalls the driver's copy loop behind the wire; the
-    # real 36-cell FIFO is deep enough that stalls (almost) vanish.
+    # real 36-cell FIFO is deep enough that stalls vanish.
     assert out[8][1] > out[16][1] > out[36][1] == 0
     # Round-trip latency, however, is insensitive: the wire drains
     # slower than the driver writes, so the last cell's departure is

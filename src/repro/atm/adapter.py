@@ -17,8 +17,43 @@ Device properties modelled from the paper's description:
 The transmit timing honours FIFO backpressure exactly: the driver's
 write of cell *k* stalls until cell *k−36* has left the wire.  With the
 calibrated copy rate (≈2.4 µs/cell) against the 140 Mb/s TAXI cell time
-(≈3.03 µs), the FIFO almost fills on an 8000-byte write but never quite
-stalls — consistent with the paper's measured transmit span.
+(≈3.03 µs), the FIFO gains about one cell in five while the driver
+copies: a 95-cell segment (the 4096-byte MSS) peaks at 21 cells and the
+copy never stalls — consistent with the paper's measured transmit span.
+Only a shallower FIFO, as in the depth ablation, makes the copy wait.
+
+The schedule is two max-plus recurrences, which :func:`tx_schedule`
+solves in closed form.  An *n*-cell packet is written from time *t0*,
+one cell per *w* ns, into a FIFO of *F* cells; the wire clocks a cell
+out in *c* ns and is free from the gate *g* on.  Write *k* ends at
+``W[k] = max(W[k-1] + w, D[k-F])`` (the second term only for k > F) and
+cell *k* leaves at ``D[k] = max(W[k], D[k-1]) + c``, with ``W[0] = t0``
+and ``D[0] = g``.  Cell 1 leaves at ``A + c``, where ``A = max(g, t0 + w)``.
+
+* *w < c: the copy outruns the wire* (every data segment of the
+  calibrated model).  From write 2 on, every write ends no later than
+  the previous cell's departure, so departures never wait on writes and
+  the cells leave back to back: ``D[k] = A + k·c``.  Because c > w, the
+  latest FIFO stall dominates the earlier ones:
+  ``W[k] = max(t0 + k·w, A + (k-F)·c)``, the second term only for k > F.
+  At write *k* the cells with ``D[j] <= W[k]`` have gone,
+  ``⌊(W[k] - A)/c⌋`` of them (at most k − 1).  The first term leads
+  for a prefix of the writes.  Over that prefix each write adds a cell
+  while at most one leaves, so the occupancy never falls; over the rest
+  it is exactly F, which the prefix never exceeds.  So the FIFO peaks
+  at the last write, n.
+* *w >= c: the wire keeps up once the gate opens* (small packets and
+  every ACK).  Writes are at least a cell time apart, so
+  ``D[k] = max(g + k·c, W[k] + c)``.  Only write F + 1 can wait on the
+  wire, for cell 1: ``W[F+1] = max(t0 + (F+1)·w, D[1])``.  After it the
+  writes are the bottleneck, so
+  ``W[n] = max(t0 + n·w, D[1] + (n-F-1)·w)`` for n > F.  The FIFO
+  holds every cell written before cell 1 leaves, at most F of them;
+  from then on the wire drains at least as fast as the copy fills.  So
+  it peaks at ``min(n, F, ⌈(D[1] - t0)/w⌉ - 1)`` cells.
+
+``tests/test_atm_device.py`` checks it against a cell-by-cell replay of
+the recurrences.
 """
 
 from __future__ import annotations
@@ -32,7 +67,7 @@ from repro.sim.cpu import Priority
 from repro.sim.engine import us
 from repro.sim.resources import Semaphore
 
-__all__ = ["AtmLink", "ForeTca100", "AtmStats"]
+__all__ = ["AtmLink", "ForeTca100", "AtmStats", "tx_schedule"]
 
 
 class AtmStats:
@@ -74,6 +109,34 @@ class AtmLink:
         if len(self._ends) != 2:
             raise RuntimeError("ATM link is not fully connected")
         return self._ends[1] if self._ends[0] is adapter else self._ends[0]
+
+
+def tx_schedule(n: int, t0: int, gate: int, write_ns: int, cell_ns: int,
+                fifo: int) -> Tuple[int, int, int, int]:
+    """The TX FIFO schedule of an *n*-cell packet, in O(1).
+
+    The driver writes one cell per *write_ns* from *t0* into a FIFO of
+    *fifo* cells; the wire is free from *gate* (which may lie before
+    *t0*) and clocks a cell out in *cell_ns*.  Returns ``(busy_ns,
+    first_depart, last_depart, peak_cells)``: how long the copy loop
+    runs (FIFO-full stalls included), when the first and the last cell
+    have left the wire, and the most cells the FIFO holds as a write
+    completes.  The module docstring derives it.
+    """
+    w, c = write_ns, cell_ns
+    first = max(gate, t0 + w)       # cell 1 starts clocking out
+    done = t0 + n * w               # the copy's end if no write waits
+    if w < c:
+        if n > fifo:
+            done = max(done, first + (n - fifo) * c)
+        last = first + n * c
+        peak = n - min(n - 1, max(0, (done - first) // c))
+    else:
+        if n > fifo:
+            done = max(done, first + c + (n - fifo - 1) * w)
+        last = max(gate + n * c, done + c)
+        peak = min(n, fifo, (first + c - t0 - 1) // w)
+    return done - t0, first + c, last, peak
 
 
 class ForeTca100:
@@ -132,37 +195,15 @@ class ForeTca100:
                         + us(costs.atm_tx_per_mbuf_us) * packet.mbuf_count)
         per_cell_write_ns = max(1, base_cost_ns // n)
 
-        # FIFO-backpressured write/drain schedule (all relative to now).
-        t0 = sim.now
-        wire_gate = max(t0, self._wire_free_at)
-        write_done: List[int] = [0] * (n + 1)   # W[k], 1-based
-        depart: List[int] = [0] * (n + 1)       # E[k]
-        prev_depart = wire_gate
-        max_occupancy = 0
-        # Cells 1..departed have left the wire by the current write.
-        # Both schedules only move forward, so neither does this count.
-        departed = 0
-        for k in range(1, n + 1):
-            earliest = (write_done[k - 1] if k > 1 else t0) \
-                + per_cell_write_ns
-            if k > self.TX_FIFO_CELLS:
-                earliest = max(earliest, depart[k - self.TX_FIFO_CELLS])
-            write_done[k] = earliest
-            start_tx = max(write_done[k], prev_depart)
-            depart[k] = start_tx + link.cell_time_ns
-            prev_depart = depart[k]
-            while departed < k - 1 and depart[departed + 1] <= earliest:
-                departed += 1
-            in_fifo = k - departed
-            if in_fifo > max_occupancy:
-                max_occupancy = in_fifo
-
-        driver_busy_ns = write_done[n] - t0
+        # FIFO-backpressured write/drain schedule.
+        driver_busy_ns, first_depart, last_depart, occupancy = tx_schedule(
+            n, sim.now, self._wire_free_at, per_cell_write_ns,
+            link.cell_time_ns, self.TX_FIFO_CELLS)
         stall_ns = driver_busy_ns - base_cost_ns
         if stall_ns > 0:
             self.stats.tx_stall_ns += stall_ns
         self.stats.max_tx_fifo_cells = max(self.stats.max_tx_fifo_cells,
-                                           max_occupancy)
+                                           occupancy)
 
         # The driver's copy loop (including any FIFO-full spinning) is
         # CPU work in the caller's context; the span ends when the last
@@ -174,7 +215,7 @@ class ForeTca100:
         # delay after it finishes clocking out.  Under CPU preemption the
         # actual copy may have finished later than the analytic schedule;
         # never deliver before the copy is done.
-        analytic_last_arrival = depart[n] + link.prop_delay_ns
+        analytic_last_arrival = last_depart + link.prop_delay_ns
         last_arrival = max(analytic_last_arrival,
                            sim.now + link.cell_time_ns + link.prop_delay_ns)
         self._wire_free_at = last_arrival - link.prop_delay_ns
@@ -183,7 +224,7 @@ class ForeTca100:
             # The wire span: first cell starts clocking out while the
             # driver copy loop is still running — the TCA-100 overlap the
             # paper's timeline figures show.
-            wire_start = depart[1] - link.cell_time_ns
+            wire_start = first_depart - link.cell_time_ns
             packet.lineage.add(
                 "wire.atm" if data_bearing else "wire.ack.atm",
                 "wire", wire_start, last_arrival,

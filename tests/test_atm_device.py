@@ -1,5 +1,6 @@
 """Tests for the ATM subsystem: AAL3/4, adapter timing, FIFO behaviour."""
 
+import bisect
 import dataclasses
 import random
 
@@ -14,7 +15,7 @@ from repro.atm.aal import (
     ReassemblyError,
     cells_needed,
 )
-from repro.atm.adapter import AtmLink, ForeTca100
+from repro.atm.adapter import AtmLink, ForeTca100, tx_schedule
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
 from repro.hw.costs import decstation_5000_200
@@ -231,11 +232,13 @@ class TestAdapterTiming:
 
 
 def reference_tx_schedule(n, t0, wire_gate, per_cell_write_ns,
-                           cell_time_ns):
-    """The driver's TX FIFO schedule with the original per-cell rescan
-    of every earlier cell (O(cells²)).  Returns ``(driver busy ns, last
-    cell's departure, most cells in the FIFO)``."""
-    fifo = ForeTca100.TX_FIFO_CELLS
+                           cell_time_ns, fifo=ForeTca100.TX_FIFO_CELLS):
+    """The driver's TX FIFO schedule, replayed cell by cell: the
+    write/drain loop that ``tx_schedule`` replaces.  At every write it
+    counts the cells already gone afresh, by bisecting the departure
+    times (each cell leaves after the one before it).  Returns
+    ``(driver busy ns, first cell's departure, last cell's departure,
+    most cells in the FIFO)``."""
     write_done = [0] * (n + 1)
     depart = [0] * (n + 1)
     prev_depart = wire_gate
@@ -247,15 +250,15 @@ def reference_tx_schedule(n, t0, wire_gate, per_cell_write_ns,
         write_done[k] = earliest
         depart[k] = max(earliest, prev_depart) + cell_time_ns
         prev_depart = depart[k]
-        in_fifo = k - sum(1 for j in range(1, k)
-                          if depart[j] <= write_done[k])
+        in_fifo = k - (bisect.bisect_right(depart, write_done[k], 1, k) - 1)
         max_occupancy = max(max_occupancy, in_fifo)
-    return write_done[n] - t0, depart[n], max_occupancy
+    return write_done[n] - t0, depart[1], depart[n], max_occupancy
 
 
 class TestTxFifoSchedule:
-    """ForeTca100.output against the quadratic reference schedule, for
-    random cell counts, copy rates and wire gates."""
+    """ForeTca100.output and tx_schedule against the per-cell reference
+    schedule, for random and edge-case cell counts, copy rates and wire
+    gates."""
 
     CASES = 150
 
@@ -293,7 +296,7 @@ class TestTxFifoSchedule:
             base_ns = (us(costs.atm_tx_fixed_us)
                        + us(costs.atm_tx_per_cell_us) * n
                        + us(costs.atm_tx_per_mbuf_us) * mbufs)
-            busy_ns, last_depart, occupancy = reference_tx_schedule(
+            busy_ns, _, last_depart, occupancy = reference_tx_schedule(
                 n, 0, gate, max(1, base_ns // n), link.cell_time_ns)
             stats = a.interface.stats
             where = f"case {case}: {n} cells, gate {gate}"
@@ -307,6 +310,31 @@ class TestTxFifoSchedule:
             filled += occupancy == ForeTca100.TX_FIFO_CELLS
         # The cases reach both a full FIFO and a stalled copy loop.
         assert stalled and filled
+
+    def test_closed_form_matches_reference_at_the_edges(self):
+        """tx_schedule against the per-cell loop around every edge of
+        the closed form: cell counts around the FIFO depth, write times
+        around the cell time, and wire gates from behind the copy's
+        start to past the instant the FIFO fills."""
+        c = AtmLink(Simulator()).cell_time_ns
+        t0 = 1_000_000
+        full_and_stalled = set()
+        for fifo in (1, 8, 16, 36, 292):
+            counts = {1, fifo - 1, fifo, fifo + 1, 2 * fifo, 3 * fifo + 5}
+            for n in sorted(counts - {0}):
+                for w in (1, c // 4, c - 1, c, c + 1, 4 * c):
+                    # The wire opens behind the copy's start, with it,
+                    # a few ns after, part-way through filling the FIFO,
+                    # and only once write fifo + 1 waits for cell 1.
+                    for gate in (t0 - 5 * c, t0, t0 + 3, t0 + 5 * c + 1,
+                                 t0 + (fifo + 2) * w):
+                        args = (n, t0, gate, w, c, fifo)
+                        got = tx_schedule(*args)
+                        assert got == reference_tx_schedule(*args), args
+                        if got[3] == fifo and got[0] > n * w:
+                            full_and_stalled.add(w < c)
+        # Both regimes reach a full FIFO that stalls the copy loop.
+        assert full_and_stalled == {True, False}
 
 
 class TestEndToEndAtm:
